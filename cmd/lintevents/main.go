@@ -13,7 +13,12 @@
 // holes in reconstructed journeys. Control-plane types (beacons, DIOs,
 // bus traffic, faults) legitimately carry journey 0 and are exempt.
 //
-//	lintevents            # lint the default protocol-layer packages
+// Run from the repository root with no arguments, it also fails on any
+// exported identifier under internal/ that nothing references
+// (exports.go): an API no program, test or benchmark reaches is dead
+// code.
+//
+//	lintevents            # lint the default packages and unused exports
 //	lintevents ./foo ...  # lint the named directories instead
 package main
 
@@ -53,6 +58,17 @@ func main() {
 		dirs = protocolLayers
 	}
 	bad := 0
+	if len(os.Args) == 1 {
+		unused, err := unusedExports(".")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lintevents: %v\n", err)
+			os.Exit(2)
+		}
+		for _, u := range unused {
+			fmt.Println(u)
+		}
+		bad += len(unused)
+	}
 	for _, dir := range dirs {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -68,7 +84,7 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "lintevents: %d violation(s) in protocol layers\n", bad)
+		fmt.Fprintf(os.Stderr, "lintevents: %d violation(s)\n", bad)
 		os.Exit(1)
 	}
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"iiotds/internal/adapter"
@@ -107,11 +108,16 @@ func main() {
 
 	fmt.Println("\n--- shift report ---")
 	for _, name := range d.TSDB.Names() {
-		s := d.TSDB.Series(name)
-		if mean, ok := s.Mean(); ok {
-			last, _ := s.Last()
-			fmt.Printf("%-28s samples=%-4d mean=%7.2f last=%7.2f\n", name, s.Len(), mean, last.V)
+		pts := d.TSDB.Series(name).Range(0, math.MaxInt64)
+		if len(pts) == 0 {
+			continue
 		}
+		var sum float64
+		for _, p := range pts {
+			sum += p.V
+		}
+		fmt.Printf("%-28s samples=%-4d mean=%7.2f last=%7.2f\n",
+			name, len(pts), sum/float64(len(pts)), pts[len(pts)-1].V)
 	}
 	fmt.Printf("alerts raised: %d\n", alerts)
 	fmt.Printf("network energy: mean %.2f J/node\n", d.M.Energy().MeanTotalJoules())

@@ -91,9 +91,6 @@ func (b *Broker) SetTrace(rec *trace.Recorder) {
 	b.rec = rec
 }
 
-// Published returns how many messages have been accepted for routing.
-func (b *Broker) Published() uint64 { return uint64(b.published.Value()) }
-
 // Delivered returns how many messages have been handed to subscribers.
 func (b *Broker) Delivered() uint64 { return uint64(b.delivered.Value()) }
 

@@ -306,6 +306,32 @@ func TestResetFailsInFlightAndStaysUsable(t *testing.T) {
 	}
 }
 
+// TestCONRequestAnsweredByRSTFails: a peer that rejects a CON request
+// with a RST (RFC 7252 §4.2) ends the exchange at once. The request
+// fails with ErrReset exactly once and no exchange state is left behind.
+func TestCONRequestAnsweredByRSTFails(t *testing.T) {
+	w := newWorld()
+	peer := w.board.Attach("rejector")
+	peer.SetReceiver(func(from string, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil || m.Type != Confirmable {
+			return
+		}
+		rst, _ := (&Message{Type: Reset, Code: CodeEmpty, MessageID: m.MessageID}).Marshal()
+		_ = peer.Send(from, rst)
+	})
+	cli, _ := w.endpoint("cli", ConnConfig{})
+	var errs []error
+	cli.Get("rejector", "x", func(m *Message, err error) { errs = append(errs, err) })
+	w.k.RunFor(10 * time.Minute)
+	if len(errs) != 1 || errs[0] != ErrReset {
+		t.Fatalf("callbacks = %v, want exactly one ErrReset", errs)
+	}
+	if p, a := cli.Exchanges(); p != 0 || a != 0 {
+		t.Fatalf("exchange state leaked: pending=%d awaiting=%d", p, a)
+	}
+}
+
 func TestServerDedupRepliesFromCache(t *testing.T) {
 	w := newWorld()
 	srvConn, _ := w.endpoint("srv", ConnConfig{})

@@ -80,6 +80,9 @@ type outCON struct {
 	cancel   CancelFunc
 	onFail   func(err error)
 	journey  uint64
+	// request marks a client request, which a RST fails with ErrReset;
+	// a RST of a notification instead drops its observer (handleReset).
+	request bool
 }
 
 // reqState tracks a request awaiting its response (matched by token).
@@ -202,9 +205,6 @@ func (c *Conn) Serve(s *Server) {
 	c.server = s
 	s.conn = c
 }
-
-// LocalAddr returns the transport address.
-func (c *Conn) LocalAddr() string { return c.tr.LocalAddr() }
 
 // Close shuts the endpoint down; outstanding requests fail with ErrClosed.
 func (c *Conn) Close() error {
@@ -353,7 +353,7 @@ func (c *Conn) Request(addr string, req *Message, fn ResponseFunc) {
 	}
 	c.mu.Unlock()
 	c.withJourney(jid, func() {
-		c.send(addr, req, func(err error) { c.failRequest(tk, err) })
+		c.send(addr, req, true, func(err error) { c.failRequest(tk, err) })
 	})
 }
 
@@ -429,8 +429,9 @@ func (c *Conn) failRequest(tk string, err error) {
 }
 
 // send transmits m to addr; for CONs it installs the retransmission state.
-// onFail fires if the message layer gives up.
-func (c *Conn) send(addr string, m *Message, onFail func(err error)) {
+// onFail fires if the message layer gives up, or, for a request, if the
+// peer rejects it with a RST.
+func (c *Conn) send(addr string, m *Message, request bool, onFail func(err error)) {
 	data, err := m.Marshal()
 	if err != nil {
 		if onFail != nil {
@@ -441,7 +442,7 @@ func (c *Conn) send(addr string, m *Message, onFail func(err error)) {
 	if m.Type == Confirmable {
 		c.mu.Lock()
 		timeout := time.Duration(float64(c.cfg.AckTimeout) * (1 + (c.cfg.AckRandomFactor-1)*c.rng.Float64()))
-		p := &outCON{data: data, addr: addr, timeout: timeout, onFail: onFail, journey: c.journeyCurrent()}
+		p := &outCON{data: data, addr: addr, timeout: timeout, onFail: onFail, journey: c.journeyCurrent(), request: request}
 		k := key(addr, m.MessageID)
 		c.pending[k] = p
 		c.armRetransmit(k, p)
@@ -482,17 +483,20 @@ func (c *Conn) armRetransmit(k string, p *outCON) {
 	})
 }
 
-// ackReceived clears retransmission state for (addr, mid).
-func (c *Conn) ackReceived(addr string, mid uint16) {
+// ackReceived clears retransmission state for (addr, mid) and returns
+// the CON it acknowledged, if any.
+func (c *Conn) ackReceived(addr string, mid uint16) *outCON {
 	c.mu.Lock()
 	k := key(addr, mid)
-	if p, ok := c.pending[k]; ok {
+	p, ok := c.pending[k]
+	if ok {
 		if p.cancel != nil {
 			p.cancel()
 		}
 		delete(c.pending, k)
 	}
 	c.mu.Unlock()
+	return p
 }
 
 // onDatagram is the transport receive callback.
@@ -508,7 +512,11 @@ func (c *Conn) onDatagram(from string, data []byte) {
 			c.handleResponse(from, m)
 		}
 	case Reset:
-		c.ackReceived(from, m.MessageID)
+		// The RST stops retransmission, the only thing that would
+		// otherwise fail the exchange, so a rejected request fails here.
+		if p := c.ackReceived(from, m.MessageID); p != nil && p.request {
+			p.onFail(ErrReset)
+		}
 		c.handleReset(from, m)
 	case Confirmable, NonConfirmable:
 		if m.Code.IsRequest() {
@@ -573,7 +581,7 @@ func (c *Conn) handleResponse(from string, m *Message) {
 			jid := st.journey
 			c.mu.Unlock()
 			c.withJourney(jid, func() {
-				c.send(addr, &next, func(err error) { c.failRequest(tk, err) })
+				c.send(addr, &next, true, func(err error) { c.failRequest(tk, err) })
 			})
 			return
 		}

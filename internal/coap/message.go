@@ -63,31 +63,22 @@ func (c Code) String() string { return fmt.Sprintf("%d.%02d", c.Class(), c.Detai
 
 // Method and response codes (RFC 7252 §12.1).
 const (
-	CodeEmpty  Code = 0
-	CodeGET    Code = Code(1)
-	CodePOST   Code = Code(2)
-	CodePUT    Code = Code(3)
-	CodeDELETE Code = Code(4)
+	CodeEmpty Code = 0
+	CodeGET   Code = Code(1)
+	CodePOST  Code = Code(2)
+	CodePUT   Code = Code(3)
 )
 
 // Response codes.
 var (
-	CodeCreated              = MakeCode(2, 1)
-	CodeDeleted              = MakeCode(2, 2)
-	CodeValid                = MakeCode(2, 3)
-	CodeChanged              = MakeCode(2, 4)
-	CodeContent              = MakeCode(2, 5)
-	CodeBadRequest           = MakeCode(4, 0)
-	CodeUnauthorized         = MakeCode(4, 1)
-	CodeForbidden            = MakeCode(4, 3)
-	CodeNotFound             = MakeCode(4, 4)
-	CodeMethodNotAllowed     = MakeCode(4, 5)
-	CodeRequestTooLarge      = MakeCode(4, 13)
-	CodeInternalServerError  = MakeCode(5, 0)
-	CodeNotImplemented       = MakeCode(5, 1)
-	CodeServiceUnavailable   = MakeCode(5, 3)
-	CodeGatewayTimeout       = MakeCode(5, 4)
-	CodeProxyingNotSupported = MakeCode(5, 5)
+	CodeChanged             = MakeCode(2, 4)
+	CodeContent             = MakeCode(2, 5)
+	CodeBadRequest          = MakeCode(4, 0)
+	CodeNotFound            = MakeCode(4, 4)
+	CodeMethodNotAllowed    = MakeCode(4, 5)
+	CodeInternalServerError = MakeCode(5, 0)
+	CodeNotImplemented      = MakeCode(5, 1)
+	CodeServiceUnavailable  = MakeCode(5, 3)
 )
 
 // IsRequest reports whether the code is a request method.
@@ -110,9 +101,7 @@ const (
 	OptContentFormat OptionID = 12
 	OptMaxAge        OptionID = 14
 	OptURIQuery      OptionID = 15
-	OptAccept        OptionID = 17
 	OptBlock2        OptionID = 23
-	OptBlock1        OptionID = 27
 )
 
 // Content formats (RFC 7252 §12.3).
@@ -121,7 +110,6 @@ const (
 	FormatLinkFormat uint32 = 40
 	FormatOctets     uint32 = 42
 	FormatJSON       uint32 = 50
-	FormatCBOR       uint32 = 60
 )
 
 // Option is one CoAP option instance.

@@ -17,7 +17,7 @@ type HandlerFunc func(from string, req *Message) *Message
 
 // DefaultMaxObservers bounds observer state per resource when no explicit
 // limit is configured — sized for constrained nodes. Gateways raise it
-// via Server.SetObserverLimit / Resource.SetMaxObservers.
+// via Server.SetObserverLimit.
 const DefaultMaxObservers = 64
 
 // defaultConfirmEvery makes every n-th notification confirmable so dead
@@ -58,7 +58,6 @@ type Resource struct {
 
 	obsSeq atomic.Uint32
 	nobs   atomic.Int64 // total observers across shards
-	maxObs atomic.Int64 // per-resource cap; 0 = server default
 	shards [obsShards]obsShard
 }
 
@@ -71,7 +70,7 @@ type Server struct {
 	mu        sync.Mutex
 	resources map[string]*Resource
 
-	maxObs       atomic.Int64 // default per-resource cap; 0 = DefaultMaxObservers
+	maxObs       atomic.Int64 // per-resource cap; 0 = DefaultMaxObservers
 	confirmEvery atomic.Int64 // 0 = defaultConfirmEvery, <0 = never confirmable
 	rejectMaxAge atomic.Int64 // Max-Age (seconds) on 5.03 admission rejects; 0 = none
 
@@ -149,12 +148,6 @@ func (r *Resource) Get(fn HandlerFunc) *Resource { r.setHandler(CodeGET, fn); re
 // Put installs the PUT handler.
 func (r *Resource) Put(fn HandlerFunc) *Resource { r.setHandler(CodePUT, fn); return r }
 
-// Post installs the POST handler.
-func (r *Resource) Post(fn HandlerFunc) *Resource { r.setHandler(CodePOST, fn); return r }
-
-// Delete installs the DELETE handler.
-func (r *Resource) Delete(fn HandlerFunc) *Resource { r.setHandler(CodeDELETE, fn); return r }
-
 func (r *Resource) setHandler(code Code, fn HandlerFunc) {
 	r.mu.Lock()
 	r.handlers[code] = fn
@@ -177,20 +170,7 @@ func (r *Resource) ResourceType(rt string) *Resource {
 	return r
 }
 
-// SetMaxObservers overrides the server's observer cap for this resource.
-// n <= 0 restores the server default.
-func (r *Resource) SetMaxObservers(n int) *Resource {
-	if n < 0 {
-		n = 0
-	}
-	r.maxObs.Store(int64(n))
-	return r
-}
-
 func (r *Resource) maxObservers() int64 {
-	if v := r.maxObs.Load(); v > 0 {
-		return v
-	}
 	if v := r.server.maxObs.Load(); v > 0 {
 		return v
 	}
@@ -260,7 +240,7 @@ func (r *Resource) notifyAll(seq, contentFormat uint32, payload []byte) {
 		if con {
 			m.Type = Confirmable
 			addr, token := o.addr, o.token
-			c.send(addr, m, func(error) {
+			c.send(addr, m, false, func(error) {
 				// Unreachable observer: drop the registration.
 				r.removeObserver(addr, token)
 			})
@@ -307,7 +287,7 @@ func (r *Resource) notifyShard(si int, seq, contentFormat uint32, payload []byte
 			msg.AddUintOption(OptObserve, seq)
 			msg.AddUintOption(OptContentFormat, contentFormat)
 			addr, token := o.addr, o.token
-			c.send(addr, msg, func(error) {
+			c.send(addr, msg, false, func(error) {
 				r.removeObserver(addr, token)
 			})
 		} else {

@@ -43,42 +43,6 @@ const (
 	MACRIMAC
 )
 
-// Config describes a homogeneous deployment: every node gets the same
-// MAC, radio, channel, and tenant. It is a thin shim over the layered
-// Stack/Profile builder (profile.go) — Stack() expands it to a single
-// profile bound to every position — kept because most experiments and
-// tests study one device class at a time.
-type Config struct {
-	// Seed drives all simulation randomness.
-	Seed int64
-	// Topology gives node positions; index 0 is the border router.
-	Topology radio.Topology
-	// Radio parameterizes the medium (zero value = DefaultParams).
-	Radio radio.Params
-	// MAC selects the discipline; LPL/CSMA/RIMAC tune it.
-	MAC   MACKind
-	LPL   mac.LPLConfig
-	CSMA  mac.CSMAConfig
-	RIMAC mac.RIMACConfig
-	// Router tunes RPL. Reasonable fast-converging defaults are applied
-	// when zero.
-	Router rpl.Config
-	// Tenant tags all frames (§IV-C); Channel tunes all radios.
-	Tenant  string
-	Channel uint8
-	// RNFD, when non-nil, attaches the root-failure detector to every
-	// non-root node.
-	RNFD *rpl.RNFDConfig
-	// WithCoAP attaches a CoAP endpoint (server+client) to every node.
-	WithCoAP bool
-	// WithBackend creates the broker and time-series store tiers.
-	WithBackend bool
-	// TraceCapacity sizes the deployment's flight-recorder ring buffer
-	// (events retained). Zero uses trace.DefaultCapacity(); a negative
-	// value disables tracing entirely (zero-allocation emit paths).
-	TraceCapacity int
-}
-
 // Node is one emulated field device with its full protocol stack.
 type Node struct {
 	ID     radio.NodeID
@@ -125,39 +89,6 @@ type Deployment struct {
 	Bus      *bus.Broker
 	TSDB     *store.TSDB
 	Registry *registry.Registry
-}
-
-// Stack expands the flat homogeneous Config into the layered description
-// NewStack consumes: one profile, bound to every position.
-func (c Config) Stack() Stack {
-	return Stack{
-		Seed:   c.Seed,
-		Radio:  c.Radio,
-		Router: c.Router,
-		Profiles: []Profile{{
-			Name:     DefaultProfile,
-			MAC:      c.MAC,
-			CSMA:     c.CSMA,
-			LPL:      c.LPL,
-			RIMAC:    c.RIMAC,
-			Channel:  c.Channel,
-			Tenant:   c.Tenant,
-			RNFD:     c.RNFD,
-			WithCoAP: c.WithCoAP,
-		}},
-		Topology:      Uniform(DefaultProfile, c.Topology),
-		WithBackend:   c.WithBackend,
-		TraceCapacity: c.TraceCapacity,
-	}
-}
-
-// NewDeployment builds and starts the full stack for a homogeneous
-// fleet. It is Config.Stack followed by NewStack.
-func NewDeployment(cfg Config) *Deployment {
-	if len(cfg.Topology) == 0 {
-		panic("core: Config.Topology is empty")
-	}
-	return NewStack(cfg.Stack())
 }
 
 // Root returns the border-router node.

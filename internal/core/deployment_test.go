@@ -14,19 +14,21 @@ import (
 	"iiotds/internal/radio"
 	"iiotds/internal/registry"
 	"iiotds/internal/rpl"
-	"iiotds/internal/store"
 )
 
-func smallGrid(t *testing.T, n int, opts func(*Config)) *Deployment {
+// uniform describes a homogeneous fleet: one profile, every position.
+func uniform(seed int64, p Profile, positions radio.Topology) Stack {
+	p.Name = "node"
+	return Stack{Seed: seed, Profiles: []Profile{p}, Topology: Uniform("node", positions)}
+}
+
+func smallGrid(t *testing.T, n int, opts func(*Stack)) *Deployment {
 	t.Helper()
-	cfg := Config{
-		Seed:     11,
-		Topology: radio.GridTopology(n, 15),
-	}
+	s := uniform(11, Profile{}, radio.GridTopology(n, 15))
 	if opts != nil {
-		opts(&cfg)
+		opts(&s)
 	}
-	return NewDeployment(cfg)
+	return NewStack(s)
 }
 
 func TestDeploymentConverges(t *testing.T) {
@@ -84,7 +86,7 @@ func TestAggregationQueryOverDeployment(t *testing.T) {
 }
 
 func TestCoAPOverMesh(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(t, 9, func(s *Stack) { s.Profiles[0].WithCoAP = true })
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -112,7 +114,7 @@ func TestCoAPOverMesh(t *testing.T) {
 }
 
 func TestCoAPObserveOverMesh(t *testing.T) {
-	d := smallGrid(t, 4, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(t, 4, func(s *Stack) { s.Profiles[0].WithCoAP = true })
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -235,7 +237,7 @@ func TestRecoverResetsNeighborState(t *testing.T) {
 // time, and the endpoint holds no pending/awaiting entries across the
 // reboot.
 func TestCrashResetsCoAPExchanges(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(t, 9, func(s *Stack) { s.Profiles[0].WithCoAP = true })
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -288,7 +290,7 @@ func TestCrashResetsCoAPExchanges(t *testing.T) {
 // after the retransmission budget — it neither hangs nor leaks a pending
 // entry at the sender.
 func TestPendingCONToCrashedNodeTimesOutCleanly(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) { c.WithCoAP = true })
+	d := smallGrid(t, 9, func(s *Stack) { s.Profiles[0].WithCoAP = true })
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
@@ -317,7 +319,7 @@ func TestFaultInjectorIntegration(t *testing.T) {
 	ledger := fault.NewLedger(0)
 	inj := fault.NewInjector(d.K, d.M, d, ledger)
 	inj.CrashAt(30*time.Second, 2)
-	inj.RecoverAt(60*time.Second, 2)
+	d.K.At(60*time.Second, func() { inj.Recover(2) })
 	d.K.RunUntil(90 * time.Second)
 	s := ledger.StatsOf("node-2", d.K.Now())
 	if s.Failures != 1 || s.Repairs != 1 {
@@ -329,8 +331,8 @@ func TestFaultInjectorIntegration(t *testing.T) {
 }
 
 func TestRNFDIntegration(t *testing.T) {
-	d := smallGrid(t, 9, func(c *Config) {
-		c.RNFD = &rpl.RNFDConfig{SuspectTimeout: 25 * time.Second, Quorum: 2}
+	d := smallGrid(t, 9, func(s *Stack) {
+		s.Profiles[0].RNFD = &rpl.RNFDConfig{SuspectTimeout: 25 * time.Second, Quorum: 2}
 	})
 	if ok, _ := d.RunUntilConverged(time.Minute); !ok {
 		t.Fatal("no convergence")
@@ -352,20 +354,16 @@ func TestRNFDIntegration(t *testing.T) {
 }
 
 func TestBackendPublish(t *testing.T) {
-	d := smallGrid(t, 4, func(c *Config) { c.WithBackend = true })
+	d := smallGrid(t, 4, func(s *Stack) { s.WithBackend = true })
 	defer d.Close()
 	obs := observationFixture()
 	if err := d.PublishObservation(obs); err != nil {
 		t.Fatal(err)
 	}
 	// Storage tier.
-	s := d.TSDB.Series("obs/press-1/temp")
-	if s.Len() != 1 {
-		t.Fatalf("series len = %d", s.Len())
-	}
-	p, _ := s.Last()
-	if p.V != 36.5 {
-		t.Fatalf("stored %v", p.V)
+	pts := d.TSDB.Series("obs/press-1/temp").Range(0, time.Hour)
+	if len(pts) != 1 || pts[0].V != 36.5 || pts[0].T != obs.At {
+		t.Fatalf("stored %+v", pts)
 	}
 	// Application tier: retained message replays to a late subscriber.
 	got := make(chan string, 1)
@@ -395,13 +393,9 @@ func TestDeploymentWithoutBackendRejectsPublish(t *testing.T) {
 }
 
 func TestLPLDeploymentConverges(t *testing.T) {
-	cfg := Config{
-		Seed:     13,
-		Topology: radio.GridTopology(9, 15),
-		MAC:      MACLPL,
-	}
-	cfg.LPL.WakeInterval = 250 * time.Millisecond
-	d := NewDeployment(cfg)
+	p := Profile{MAC: MACLPL}
+	p.LPL.WakeInterval = 250 * time.Millisecond
+	d := NewStack(uniform(13, p, radio.GridTopology(9, 15)))
 	ok, _ := d.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		for i, n := range d.Nodes {
@@ -422,13 +416,9 @@ func TestLPLDeploymentConverges(t *testing.T) {
 }
 
 func TestRIMACDeploymentConverges(t *testing.T) {
-	cfg := Config{
-		Seed:     17,
-		Topology: radio.GridTopology(9, 15),
-		MAC:      MACRIMAC,
-	}
-	cfg.RIMAC.BeaconInterval = 250 * time.Millisecond
-	d := NewDeployment(cfg)
+	p := Profile{MAC: MACRIMAC}
+	p.RIMAC.BeaconInterval = 250 * time.Millisecond
+	d := NewStack(uniform(17, p, radio.GridTopology(9, 15)))
 	ok, _ := d.RunUntilConverged(5 * time.Minute)
 	if !ok {
 		for i, n := range d.Nodes {
@@ -458,7 +448,7 @@ func TestEmptyTopologyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDeployment(Config{})
+	NewStack(Stack{Profiles: []Profile{{Name: "node"}}})
 }
 
 func observationFixture() registry.Observation {
@@ -472,10 +462,12 @@ func observationFixture() registry.Observation {
 }
 
 func ExampleDeployment() {
-	d := NewDeployment(Config{Seed: 1, Topology: radio.GridTopology(4, 10)})
+	d := NewStack(Stack{
+		Seed:     1,
+		Profiles: []Profile{{Name: "node"}},
+		Topology: Uniform("node", radio.GridTopology(4, 10)),
+	})
 	ok, _ := d.RunUntilConverged(time.Minute)
 	fmt.Println("converged:", ok)
 	// Output: converged: true
 }
-
-var _ = store.Point{} // storage-tier type used via the TSDB assertions

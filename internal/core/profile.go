@@ -5,8 +5,8 @@
 // builder that makes such fleets expressible: a Profile describes one
 // device class, a Topology binds every node position to a profile, and
 // NewStack composes each node's per-layer stack (radio → MAC → link →
-// RPL → agg/CoAP) through replaceable Factories. The flat single-class
-// Config in deployment.go is a thin shim over this builder.
+// RPL → agg/CoAP) through replaceable Factories. A homogeneous fleet is
+// one Profile bound to every position (Uniform).
 package core
 
 import (
@@ -29,10 +29,6 @@ import (
 	"iiotds/internal/store"
 	"iiotds/internal/trace"
 )
-
-// DefaultProfile is the name Config.Stack gives its single expanded
-// profile.
-const DefaultProfile = "default"
 
 // Profile describes one device class: the MAC discipline and its tuning,
 // the channel and administrative tenant the class operates under, an
@@ -76,7 +72,7 @@ type NodeSpec struct {
 type Topology []NodeSpec
 
 // Uniform binds every position to the same profile — the homogeneous
-// special case the flat Config expands to.
+// special case.
 func Uniform(profile string, positions radio.Topology) Topology {
 	t := make(Topology, len(positions))
 	for i, pos := range positions {
@@ -342,7 +338,7 @@ func NewStack(cfg Stack) *Deployment {
 		d.Bus = bus.NewSyncBroker()
 		d.Bus.UseRegistry(reg)
 		d.Bus.SetTrace(d.Trace)
-		d.TSDB = store.NewTSDB(4096)
+		d.TSDB = store.NewTSDB()
 		d.Registry = registry.New()
 	}
 

@@ -17,8 +17,8 @@ import (
 func shardedGridStack(seed int64) Stack {
 	return Stack{
 		Seed:     seed,
-		Profiles: []Profile{{Name: DefaultProfile, WithCoAP: true}},
-		Topology: Uniform(DefaultProfile, radio.GridTopology(36, 12)),
+		Profiles: []Profile{{Name: "node", WithCoAP: true}},
+		Topology: Uniform("node", radio.GridTopology(36, 12)),
 	}
 }
 
@@ -119,8 +119,8 @@ func TestShardedCrossStripeOverride(t *testing.T) {
 	topo := radio.Topology{{X: 0}, {X: 5}, {X: 1000}, {X: 1005}}
 	sd := NewShardedStack(Stack{
 		Seed:     3,
-		Profiles: []Profile{{Name: DefaultProfile}},
-		Topology: Uniform(DefaultProfile, topo),
+		Profiles: []Profile{{Name: "node"}},
+		Topology: Uniform("node", topo),
 	}, 2)
 	if sd.StripeOf(1) == sd.StripeOf(2) {
 		t.Fatal("clusters landed on one stripe")

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"iiotds/internal/core"
 	"iiotds/internal/fault"
 	"iiotds/internal/radio"
 	"iiotds/internal/scenario"
@@ -153,10 +152,10 @@ func TestChurnDeterminism(t *testing.T) {
 	// with two churn engines that differ only in seed and compare the
 	// crash timelines from the fault-layer trace events.
 	schedule := func(seed int64) []string {
-		d := core.NewDeployment(core.Config{
-			Seed: 42, Topology: radio.GridTopology(9, 15),
+		d := scenario.Build(scenario.Spec{
+			Seed: 42, Topo: scenario.TopoSpec{Kind: scenario.TopoGrid, N: 9},
 			TraceCapacity: 1 << 14,
-		})
+		}).D
 		d.RunUntilConverged(3 * time.Minute)
 		inj := fault.NewInjector(d.K, d.M, d, nil)
 		inj.SetRecorder(d.Trace)

@@ -7,6 +7,7 @@ import (
 	"iiotds/internal/core"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
+	"iiotds/internal/scenario"
 )
 
 // e10Run is one self-healing measurement.
@@ -22,9 +23,11 @@ type e10Run struct {
 // overhead, kills `kills` non-root nodes at once, and measures the time
 // until every survivor is joined again.
 func runE10(tr *Trial, n int, seed int64, trickle rpl.TrickleConfig, kills []int, observe time.Duration) e10Run {
-	cfg := core.Config{Seed: seed, Topology: radio.GridTopology(n, 15)}
-	cfg.Router.Trickle = trickle
-	d := core.NewDeployment(cfg)
+	d := scenario.Build(scenario.Spec{
+		Seed:     seed,
+		Topo:     scenario.TopoSpec{Kind: scenario.TopoGrid, N: n},
+		Profiles: []core.Profile{{Name: "node", Router: &rpl.Config{Trickle: trickle}}},
+	}).D
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	d.RunUntilConverged(3 * time.Minute)

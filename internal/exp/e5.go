@@ -9,6 +9,7 @@ import (
 	"iiotds/internal/lowpan"
 	"iiotds/internal/radio"
 	"iiotds/internal/rpl"
+	"iiotds/internal/scenario"
 	"iiotds/internal/sim"
 )
 
@@ -24,11 +25,15 @@ type e5Result struct {
 // runE5 builds an n-node grid, kills the root at killAt, and measures how
 // the chosen detector spreads awareness.
 func runE5(tr *Trial, n int, seed int64, useRNFD bool, probeEvery time.Duration, suspectTimeout time.Duration, observe time.Duration) e5Result {
-	cfg := core.Config{Seed: seed, Topology: radio.GridTopology(n, 15)}
+	node := core.Profile{Name: "node"}
 	if useRNFD {
-		cfg.RNFD = &rpl.RNFDConfig{SuspectTimeout: suspectTimeout, Quorum: 2}
+		node.RNFD = &rpl.RNFDConfig{SuspectTimeout: suspectTimeout, Quorum: 2}
 	}
-	d := core.NewDeployment(cfg)
+	d := scenario.Build(scenario.Spec{
+		Seed:     seed,
+		Topo:     scenario.TopoSpec{Kind: scenario.TopoGrid, N: n},
+		Profiles: []core.Profile{node},
+	}).D
 	tr.Observe(d.K)
 	tr.ObserveTrace(d.Trace)
 	d.RunUntilConverged(3 * time.Minute)

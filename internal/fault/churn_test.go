@@ -204,9 +204,9 @@ func TestInjectorPartitionedCrossGoroutine(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		at := time.Duration(i) * 100 * time.Millisecond
 		if i%2 == 0 {
-			inj.PartitionAt(at, []radio.NodeID{0, 1}, []radio.NodeID{2, 3})
+			k.At(at, func() { inj.Partition([]radio.NodeID{0, 1}, []radio.NodeID{2, 3}) })
 		} else {
-			inj.HealAt(at)
+			k.At(at, inj.Heal)
 		}
 	}
 	done := make(chan struct{})

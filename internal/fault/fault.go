@@ -46,10 +46,10 @@ type MediumCtl interface {
 }
 
 // Injector applies faults to a deployment, either immediately (Crash,
-// Partition, ...) or on a schedule (CrashAt, PartitionAt, ...).
+// Partition, ...) or, for crashes, on a schedule (CrashAt).
 //
 // Thread contract: every mutating method — the immediate operations and
-// the callbacks the *At methods schedule — must run on the simulation
+// the callbacks CrashAt schedules — must run on the simulation
 // kernel's goroutine (directly between kernel runs, or inside a kernel
 // callback such as a Churn generator). That is what keeps injected fault
 // sequences deterministic. The read-only Partitioned accessor is the one
@@ -107,11 +107,6 @@ func (inj *Injector) CrashAt(t time.Duration, id radio.NodeID) {
 	inj.k.At(t, func() { inj.Crash(id) })
 }
 
-// RecoverAt schedules a recovery of node id at absolute time t.
-func (inj *Injector) RecoverAt(t time.Duration, id radio.NodeID) {
-	inj.k.At(t, func() { inj.Recover(id) })
-}
-
 // Partition splits the radio medium into groups immediately: frames only
 // pass between nodes of the same group. Nodes not listed form group 0.
 func (inj *Injector) Partition(groups ...[]radio.NodeID) {
@@ -140,16 +135,6 @@ func (inj *Injector) Heal() {
 	inj.rec.Emit(-1, trace.FaultHeal, 0, 0, 0, 0)
 }
 
-// PartitionAt schedules a partition into groups at time t.
-func (inj *Injector) PartitionAt(t time.Duration, groups ...[]radio.NodeID) {
-	inj.k.At(t, func() { inj.Partition(groups...) })
-}
-
-// HealAt removes the partition at time t.
-func (inj *Injector) HealAt(t time.Duration) {
-	inj.k.At(t, func() { inj.Heal() })
-}
-
 // Partitioned reports whether a partition is currently installed. Unlike
 // the mutating methods it is safe to call from any goroutine.
 func (inj *Injector) Partitioned() bool {
@@ -171,16 +156,6 @@ func (inj *Injector) RestoreLink(a, b radio.NodeID) {
 	inj.m.SetLinkPRR(a, b, -1)
 	inj.m.SetLinkPRR(b, a, -1)
 	inj.rec.Emit(int32(a), trace.FaultLink, int64(b), 0, -1, 0)
-}
-
-// DegradeLinkAt sets the directed link PRR at time t (both directions).
-func (inj *Injector) DegradeLinkAt(t time.Duration, a, b radio.NodeID, prr float64) {
-	inj.k.At(t, func() { inj.DegradeLink(a, b, prr) })
-}
-
-// RestoreLinkAt removes PRR overrides for the pair at time t.
-func (inj *Injector) RestoreLinkAt(t time.Duration, a, b radio.NodeID) {
-	inj.k.At(t, func() { inj.RestoreLink(a, b) })
 }
 
 // --- reliability accounting ---

@@ -39,7 +39,7 @@ func setup(t *testing.T) (*sim.Kernel, *radio.Medium, *fakeTarget, *Ledger, *Inj
 func TestCrashAndRecover(t *testing.T) {
 	k, m, tgt, ledger, inj, _ := setup(t)
 	inj.CrashAt(10*time.Second, 2)
-	inj.RecoverAt(30*time.Second, 2)
+	k.At(30*time.Second, func() { inj.Recover(2) })
 	k.RunUntil(20 * time.Second)
 	if !tgt.crashed[2] || !m.Down(2) {
 		t.Fatal("crash not applied")
@@ -65,8 +65,8 @@ func TestCrashAndRecover(t *testing.T) {
 
 func TestPartitionAndHeal(t *testing.T) {
 	k, m, _, _, inj, rx := setup(t)
-	inj.PartitionAt(time.Second, []radio.NodeID{0, 1}, []radio.NodeID{2, 3})
-	inj.HealAt(time.Minute)
+	k.At(time.Second, func() { inj.Partition([]radio.NodeID{0, 1}, []radio.NodeID{2, 3}) })
+	k.At(time.Minute, inj.Heal)
 	k.RunUntil(2 * time.Second)
 	if !inj.Partitioned() {
 		t.Fatal("partition not installed")
@@ -96,8 +96,8 @@ func TestPartitionAndHeal(t *testing.T) {
 
 func TestDegradeAndRestoreLink(t *testing.T) {
 	k, m, _, _, inj, _ := setup(t)
-	inj.DegradeLinkAt(time.Second, 0, 1, 0)
-	inj.RestoreLinkAt(time.Minute, 0, 1)
+	k.At(time.Second, func() { inj.DegradeLink(0, 1, 0) })
+	k.At(time.Minute, func() { inj.RestoreLink(0, 1) })
 	k.RunUntil(2 * time.Second)
 	if m.PRR(0, 1) != 0 || m.PRR(1, 0) != 0 {
 		t.Fatal("degradation not applied")

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,18 +76,6 @@ func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)
-}
-
-// Paths returns all cached paths, sorted.
-func (c *Cache) Paths() []string {
-	c.mu.RLock()
-	out := make([]string, 0, len(c.m))
-	for p := range c.m {
-		out = append(out, p)
-	}
-	c.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // HitsMisses reports read-path counters.

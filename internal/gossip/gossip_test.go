@@ -6,22 +6,39 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
-	"iiotds/internal/crdt"
 	"iiotds/internal/sim"
 )
 
-// counterState wraps a PNCounter as a gossip.State.
+// counterState is a grow-only counter as a gossip.State: one count per
+// replica, merged by per-replica max, valued as the sum.
 type counterState struct {
-	c *crdt.PNCounter
+	counts map[string]int64
 }
 
-func (s *counterState) Snapshot() ([]byte, error) { return s.c.Marshal() }
+func newCounterState() *counterState { return &counterState{counts: map[string]int64{}} }
+
+func (s *counterState) add(id string, d int64) { s.counts[id] += d }
+
+func (s *counterState) value() int64 {
+	var sum int64
+	for _, v := range s.counts {
+		sum += v
+	}
+	return sum
+}
+
+func (s *counterState) Snapshot() ([]byte, error) { return json.Marshal(s.counts) }
+
 func (s *counterState) Merge(remote []byte) error {
-	other, err := crdt.UnmarshalPNCounter(remote)
-	if err != nil {
+	var other map[string]int64
+	if err := json.Unmarshal(remote, &other); err != nil {
 		return err
 	}
-	s.c.Merge(other)
+	for id, v := range other {
+		if v > s.counts[id] {
+			s.counts[id] = v
+		}
+	}
 	return nil
 }
 
@@ -33,19 +50,19 @@ func TestEnginesConverge(t *testing.T) {
 	engines := make([]*Engine, n)
 	names := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < n; i++ {
-		states[i] = &counterState{c: crdt.NewPNCounter()}
+		states[i] = newCounterState()
 		engines[i] = New(net.Attach(names[i]), clock.Kernel{K: k}, states[i],
 			Config{Interval: time.Second, Seed: int64(i + 1)})
 		engines[i].Start()
 	}
 	// Each replica increments locally.
 	for i := 0; i < n; i++ {
-		states[i].c.Add(crdt.ReplicaID(names[i]), int64(i+1))
+		states[i].add(names[i], int64(i+1))
 	}
 	k.RunFor(30 * time.Second)
 	want := int64(1 + 2 + 3 + 4 + 5)
 	for i, s := range states {
-		if got := s.c.Value(); got != want {
+		if got := s.value(); got != want {
 			t.Fatalf("replica %d = %d, want %d", i, got, want)
 		}
 	}
@@ -60,18 +77,18 @@ func TestPartitionBlocksThenHealConverges(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	states := make([]*counterState, len(names))
 	for i, name := range names {
-		states[i] = &counterState{c: crdt.NewPNCounter()}
+		states[i] = newCounterState()
 		New(net.Attach(name), clock.Kernel{K: k}, states[i],
 			Config{Interval: time.Second, Seed: int64(i + 1)}).Start()
 	}
 	net.SetPartition([]string{"a", "b"}, []string{"c", "d"})
-	states[0].c.Add("a", 10)
-	states[2].c.Add("c", 100)
+	states[0].add("a", 10)
+	states[2].add("c", 100)
 	k.RunFor(20 * time.Second)
-	if v := states[1].c.Value(); v != 10 {
+	if v := states[1].value(); v != 10 {
 		t.Fatalf("same-side replica b = %d, want 10", v)
 	}
-	if v := states[0].c.Value(); v != 10 {
+	if v := states[0].value(); v != 10 {
 		t.Fatalf("partition leaked: a = %d", v)
 	}
 	if net.Dropped == 0 {
@@ -80,7 +97,7 @@ func TestPartitionBlocksThenHealConverges(t *testing.T) {
 	net.Heal()
 	k.RunFor(30 * time.Second)
 	for i, s := range states {
-		if got := s.c.Value(); got != 110 {
+		if got := s.value(); got != 110 {
 			t.Fatalf("replica %d = %d after heal, want 110", i, got)
 		}
 	}
@@ -89,7 +106,7 @@ func TestPartitionBlocksThenHealConverges(t *testing.T) {
 func TestStopHaltsRounds(t *testing.T) {
 	k := sim.New(7)
 	net := NewNetwork()
-	s := &counterState{c: crdt.NewPNCounter()}
+	s := newCounterState()
 	e := New(net.Attach("a"), clock.Kernel{K: k}, s, Config{Interval: time.Second})
 	net.Attach("b").SetReceiver(func(string, []byte) {})
 	e.Start()
@@ -113,7 +130,7 @@ func TestStopHaltsRounds(t *testing.T) {
 func TestMalformedGossipIgnored(t *testing.T) {
 	k := sim.New(8)
 	net := NewNetwork()
-	s := &counterState{c: crdt.NewPNCounter()}
+	s := newCounterState()
 	New(net.Attach("a"), clock.Kernel{K: k}, s, Config{Interval: time.Second}).Start()
 	rogue := net.Attach("rogue")
 	rogue.SetReceiver(func(string, []byte) {})
@@ -126,7 +143,7 @@ func TestMalformedGossipIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.RunFor(5 * time.Second)
-	if s.c.Value() != 0 {
+	if s.value() != 0 {
 		t.Fatal("garbage mutated state")
 	}
 }

@@ -188,13 +188,6 @@ func (b *Buffer) Len() int { b.check(); return b.end - b.off }
 // Headroom returns how many bytes Prepend can claim without growing.
 func (b *Buffer) Headroom() int { b.check(); return b.off }
 
-// Tailroom returns how many bytes Append/Extend can claim without
-// growing.
-func (b *Buffer) Tailroom() int { b.check(); return len(b.data) - b.end }
-
-// Refs returns the current reference count.
-func (b *Buffer) Refs() int { return b.refs }
-
 // Generation returns the buffer's pool-reuse generation. It increments
 // every time the buffer is returned to its pool, so a holder of a
 // stale reference can detect that the struct now carries a different
@@ -246,11 +239,6 @@ func (b *Buffer) Append(p []byte) {
 	copy(b.Extend(len(p)), p)
 }
 
-// AppendByte appends a single byte.
-func (b *Buffer) AppendByte(c byte) {
-	b.Extend(1)[0] = c
-}
-
 // Extend grows the window n bytes at the tail and returns the new tail
 // region for the caller to fill (an AEAD tag, typically).
 func (b *Buffer) Extend(n int) []byte {
@@ -272,12 +260,6 @@ func (b *Buffer) Truncate(n int) {
 		panic("netbuf: Truncate out of range")
 	}
 	b.end = b.off + n
-}
-
-// Reset empties the buffer and restores DefaultHeadroom.
-func (b *Buffer) Reset() {
-	b.check()
-	b.off, b.end = DefaultHeadroom, DefaultHeadroom
 }
 
 // growFront reallocates so at least n bytes of headroom exist,

@@ -387,9 +387,6 @@ func (m *Medium) ChannelOf(id NodeID) uint8 { return m.mustNode(id).channel }
 // owns the duty-cycling policy.
 func (m *Medium) SetListening(id NodeID, on bool) { m.mustNode(id).listening = on }
 
-// Listening reports whether a node's receiver is on.
-func (m *Medium) Listening(id NodeID) bool { return m.mustNode(id).listening }
-
 // SetDown marks a node crashed (true) or recovered (false). Down nodes
 // neither send nor receive.
 func (m *Medium) SetDown(id NodeID, down bool) { m.mustNode(id).down = down }

@@ -402,7 +402,7 @@ func TestTopologyPanicsOnZeroNodes(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"grid": func() { GridTopology(0, 1) },
 		"line": func() { LineTopology(0, 1) },
-		"rand": func() { RandomTopology(0, 1, 1, rand.New(rand.NewSource(1))) },
+		"rand": func() { ConnectedRandomTopology(0, 1, 1, 1, rand.New(rand.NewSource(1))) },
 	} {
 		func() {
 			defer func() {

@@ -42,24 +42,11 @@ func LineTopology(n int, spacing float64) Topology {
 	return t
 }
 
-// RandomTopology scatters n nodes uniformly over a w×h meter area using
-// rng. Position 0 is forced to the area center so the border router sits
-// mid-field, which produces the funneling patterns E4 studies.
-func RandomTopology(n int, w, h float64, rng *rand.Rand) Topology {
-	if n <= 0 {
-		panic(fmt.Sprintf("radio: RandomTopology n=%d", n))
-	}
-	t := make(Topology, n)
-	t[0] = Position{X: w / 2, Y: h / 2}
-	for i := 1; i < n; i++ {
-		t[i] = Position{X: rng.Float64() * w, Y: rng.Float64() * h}
-	}
-	return t
-}
-
-// ConnectedRandomTopology scatters nodes like RandomTopology but retries
-// node placement until each node is within maxLink of some
-// earlier-placed node, guaranteeing a connected deployment.
+// ConnectedRandomTopology scatters n nodes uniformly over a w×h meter
+// area using rng, retrying each placement until the node is within
+// maxLink of some earlier-placed node, guaranteeing a connected
+// deployment. Position 0 is forced to the area center so the border
+// router sits mid-field.
 func ConnectedRandomTopology(n int, w, h, maxLink float64, rng *rand.Rand) Topology {
 	if n <= 0 {
 		panic(fmt.Sprintf("radio: ConnectedRandomTopology n=%d", n))

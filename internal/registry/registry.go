@@ -171,17 +171,6 @@ func (r *Registry) ByProtocol(proto string) []*Device {
 	return out
 }
 
-// ByTenant returns devices of one administrative domain, sorted by ID.
-func (r *Registry) ByTenant(tenant string) []*Device {
-	var out []*Device
-	for _, d := range r.All() {
-		if d.Tenant == tenant {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Len returns the number of registered devices.
 func (r *Registry) Len() int {
 	r.mu.Lock()

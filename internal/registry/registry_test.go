@@ -73,9 +73,6 @@ func TestQueriesSortedAndFiltered(t *testing.T) {
 	if got := r.ByProtocol("modbus"); len(got) != 2 {
 		t.Fatalf("ByProtocol = %d", len(got))
 	}
-	if got := r.ByTenant("globex"); len(got) != 1 || got[0].ID != "c" {
-		t.Fatalf("ByTenant = %v", got)
-	}
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
 	}

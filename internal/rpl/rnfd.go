@@ -104,10 +104,6 @@ func (f *RNFD) Stop() {
 // verdict was reached.
 func (f *RNFD) Dead() (bool, sim.Time) { return f.dead, f.verdictAt }
 
-// SuspectCount returns the number of distinct suspecting sentinels known
-// to this node in the current epoch.
-func (f *RNFD) SuspectCount() int { return len(f.suspects) }
-
 // rootHeard is called by the router whenever a DIO arrives directly from
 // the root: the strongest possible evidence of liveness.
 func (f *RNFD) rootHeard() {

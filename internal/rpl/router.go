@@ -186,17 +186,11 @@ func NewRouter(k *sim.Kernel, lnk *link.Link, isRoot bool, root radio.NodeID, cf
 	return r
 }
 
-// ID returns this node's ID.
-func (r *Router) ID() radio.NodeID { return r.id }
-
 // Rank returns the node's current rank (InfiniteRank when detached).
 func (r *Router) Rank() uint16 { return r.rank }
 
 // Parent returns the preferred parent, or NoParent.
 func (r *Router) Parent() radio.NodeID { return r.parent }
-
-// Root returns the DODAG root's node ID.
-func (r *Router) Root() radio.NodeID { return r.root }
 
 // IsRoot reports whether this node is the DODAG root.
 func (r *Router) IsRoot() bool { return r.isRoot }
@@ -215,9 +209,6 @@ func (r *Router) Partitioned() bool { return !r.isRoot && r.parent == NoParent }
 // RootDead reports whether this node has learned (via RNFD) that the
 // root failed.
 func (r *Router) RootDead() bool { return r.rootDead }
-
-// Trickle exposes the DIO trickle timer (for overhead accounting).
-func (r *Router) Trickle() *Trickle { return r.trickle }
 
 // SetRecorder installs the flight recorder routing events are traced
 // into. RNFD (if enabled) shares the router's recorder.

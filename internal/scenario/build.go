@@ -110,16 +110,10 @@ func classProfiles(spec Spec, positions radio.Topology, labels []string) ([]core
 }
 
 // BuiltSharded is a deployment constructed from a Spec onto the sharded
-// multi-kernel engine (DESIGN.md §9), plus the fault machinery once
-// armed. Fault callbacks run on the shard group's control timeline —
-// the barrier instants at which cross-stripe mutation is legal.
+// multi-kernel engine (DESIGN.md §9).
 type BuiltSharded struct {
 	Spec Spec
 	D    *core.ShardedDeployment
-
-	Ledger *fault.Ledger
-	Inj    *fault.Injector
-	Churn  *fault.Churn
 }
 
 // BuildSharded expands the spec like Build, but stripes the fleet over
@@ -142,18 +136,6 @@ func BuildSharded(spec Spec, stripes int) *BuiltSharded {
 		Factories:     spec.Factories,
 	}, stripes)
 	return &BuiltSharded{Spec: spec, D: sd}
-}
-
-// ArmFaults mirrors Built.ArmFaults on the sharded engine: ledger time
-// and fault scheduling come from the shard group, and the injector's
-// medium control fans to the owning stripe(s) through the deployment.
-func (b *BuiltSharded) ArmFaults() {
-	if !b.Spec.Faults.enabled() || b.Churn != nil {
-		return
-	}
-	b.Ledger = fault.NewLedger(b.D.G.Now())
-	b.Inj = fault.NewInjector(b.D.G, b.D, b.D, b.Ledger)
-	b.Churn = fault.NewChurn(b.Inj, ChurnSeed(b.Spec.Seed), b.Spec.Faults.ChurnConfig(b.Spec.Topo.Nodes()))
 }
 
 // ArmFaults creates the reliability ledger, fault injector, and churn

@@ -83,15 +83,6 @@ func NewShardGroup(lookahead Time, kernels ...*Kernel) *ShardGroup {
 	return &ShardGroup{kernels: kernels, lookahead: lookahead, workers: 1, out: out}
 }
 
-// Kernels returns the stripes in index order.
-func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
-
-// Kernel returns stripe i's kernel.
-func (g *ShardGroup) Kernel(i int) *Kernel { return g.kernels[i] }
-
-// Stripes returns the stripe count.
-func (g *ShardGroup) Stripes() int { return len(g.kernels) }
-
 // Lookahead returns the group's conservative lookahead.
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
@@ -116,9 +107,6 @@ func (g *ShardGroup) SetWorkers(n int) {
 	}
 	g.workers = n
 }
-
-// Workers returns the effective worker count.
-func (g *ShardGroup) Workers() int { return g.workers }
 
 // Post queues fn to run at the next barrier, attributed to source stripe
 // src. fn executes on the driver goroutine with every stripe quiescent

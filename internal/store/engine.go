@@ -21,19 +21,18 @@ import (
 // preserved among equal timestamps. Out-of-order arrivals are counted
 // (OutOfOrder) and placed by timestamp, not arrival.
 //
-// Concurrency: guarded by a mutex like Series, so the engine is safe
-// under the CoAP/socket paths; in the single-kernel emulation the lock
-// is uncontended.
+// Concurrency: guarded by a mutex, so the engine is safe under the
+// CoAP/socket paths; in the single-kernel emulation the lock is
+// uncontended.
 type SeriesEngine struct {
 	mu      sync.Mutex
 	segSize int
-	maxSegs int // retention bound on closed segments (0 = unbounded)
+	maxPts  int // retention bound on closed points (0 = unbounded)
 
 	head    []Point // open segment, arrival order
 	headOOO bool    // head holds at least one out-of-order point
 	lastT   time.Duration
 	seenAny bool
-	last    Point // most recent arrival
 	closed  []*Segment
 
 	scratch []byte  // reused encode buffer
@@ -73,11 +72,13 @@ func NewSeriesEngine(segSize int) *SeriesEngine {
 	}
 }
 
-// SetRetention bounds the closed segments retained; the oldest segment
-// is evicted when the bound is exceeded (0 = keep everything).
-func (e *SeriesEngine) SetRetention(maxClosedSegments int) {
+// SetRetention bounds the points retained in closed segments; the
+// oldest are evicted when the bound is exceeded (0 = keep everything).
+// The bound is enforced as segments close, so the open head can ride up
+// to one segment above it.
+func (e *SeriesEngine) SetRetention(maxPoints int) {
 	e.mu.Lock()
-	e.maxSegs = maxClosedSegments
+	e.maxPts = maxPoints
 	e.enforceRetention()
 	e.mu.Unlock()
 }
@@ -118,7 +119,6 @@ func (e *SeriesEngine) AppendBatch(pts []Point) {
 			seen = true
 		}
 		e.lastT, e.seenAny = lastT, seen
-		e.last = chunk[len(chunk)-1]
 		e.total += uint64(len(chunk))
 		pts = pts[len(chunk):]
 		if len(e.head) >= e.segSize {
@@ -136,7 +136,6 @@ func (e *SeriesEngine) append(p Point) {
 		e.lastT = p.T
 	}
 	e.seenAny = true
-	e.last = p
 	e.head = append(e.head, p)
 	e.total++
 	if len(e.head) >= e.segSize {
@@ -197,14 +196,29 @@ func (e *SeriesEngine) Compact() {
 	e.mu.Unlock()
 }
 
-// enforceRetention drops the oldest closed segments past the bound.
+// enforceRetention drops the oldest closed points past the bound:
+// whole segments while they fit in the surplus, then the head of the
+// oldest remaining segment, re-encoded without it.
 func (e *SeriesEngine) enforceRetention() {
-	if e.maxSegs <= 0 {
+	if e.maxPts <= 0 {
 		return
 	}
-	for len(e.closed) > e.maxSegs {
-		e.evicted += uint64(e.closed[0].Count())
-		e.closed = e.closed[1:]
+	surplus := -e.maxPts
+	for _, s := range e.closed {
+		surplus += s.Count()
+	}
+	for surplus > 0 {
+		oldest := e.closed[0]
+		if n := oldest.Count(); n <= surplus {
+			e.closed = e.closed[1:]
+			e.evicted += uint64(n)
+			surplus -= n
+			continue
+		}
+		e.sortBuf = oldest.AppendAll(e.sortBuf[:0])
+		e.closed[0], e.scratch = newSegment(e.sortBuf[surplus:], e.scratch)
+		e.evicted += uint64(surplus)
+		surplus = 0
 	}
 }
 
@@ -240,13 +254,6 @@ func (e *SeriesEngine) OutOfOrder() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.ooo
-}
-
-// Last returns the most recently appended point, if any.
-func (e *SeriesEngine) Last() (Point, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.last, e.seenAny && e.total > e.evicted
 }
 
 // Range returns the retained points with from <= T < to in timestamp

@@ -109,7 +109,7 @@ func TestEngineForceCompact(t *testing.T) {
 
 func TestEngineRetention(t *testing.T) {
 	e := NewSeriesEngine(2)
-	e.SetRetention(2) // keep at most 2 closed segments
+	e.SetRetention(4) // keep at most 4 closed points
 	for i := 0; i < 12; i++ {
 		e.Append(Point{T: secs(i), V: float64(i)})
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"iiotds/internal/clock"
-	"iiotds/internal/crdt"
 	"iiotds/internal/gossip"
 	"iiotds/internal/netbuf"
 )
@@ -61,9 +61,6 @@ type ReplicaConfig struct {
 	QuorumTimeout time.Duration
 	// Gossip tunes AP anti-entropy.
 	Gossip gossip.Config
-	// Codec selects the CP wire encoding (default CodecBinary;
-	// CodecJSON is the debug option).
-	Codec Codec
 	// SegmentSize is the series-engine points-per-segment
 	// (0 = DefaultSegmentSize).
 	SegmentSize int
@@ -121,8 +118,47 @@ func (op *pendingOp) complete(err error) {
 	op.done(op.bestVal, err)
 }
 
+// replicaID names a replica in the AP CRDT state.
+type replicaID string
+
+// lwwRegister is a last-writer-wins register, the AP store's CRDT for
+// KV keys. Timestamps are supplied by the caller (virtual time in the
+// emulation); replica ID breaks ties so merge stays deterministic and
+// commutative. The JSON field names are the anti-entropy wire format.
+type lwwRegister struct {
+	Val []byte    `json:"val"`
+	TS  int64     `json:"ts"`
+	ID  replicaID `json:"id"`
+}
+
+// set records a write at time ts by replica id.
+func (l *lwwRegister) set(ts int64, id replicaID, val []byte) {
+	w := lwwRegister{Val: val, TS: ts, ID: id}
+	if w.wins(l) {
+		*l = w
+	}
+}
+
+// wins reports whether w supersedes cur.
+func (w *lwwRegister) wins(cur *lwwRegister) bool {
+	if w.TS != cur.TS {
+		return w.TS > cur.TS
+	}
+	if w.ID != cur.ID {
+		return w.ID > cur.ID
+	}
+	return bytes.Compare(w.Val, cur.Val) > 0
+}
+
+// merge folds other into l.
+func (l *lwwRegister) merge(other *lwwRegister) {
+	if other.wins(l) {
+		*l = lwwRegister{Val: netbuf.CloneBytes(other.Val), TS: other.TS, ID: other.ID}
+	}
+}
+
 // apState is the AP-mode CRDT state; it implements gossip.State. KV
-// keys are LWW registers (as before); time series are per-origin
+// keys are LWW registers; time series are per-origin
 // grow-only append logs — each origin's log is an immutable-prefix
 // sequence, so anti-entropy merge is "adopt the remote suffix when the
 // remote log is longer", which is commutative, associative, and
@@ -130,8 +166,8 @@ func (op *pendingOp) complete(err error) {
 // SeriesEngine holds the merged view for range queries.
 type apState struct {
 	mu      sync.Mutex
-	regs    map[string]*crdt.LWWRegister
-	logs    map[string]map[crdt.ReplicaID][]Point
+	regs    map[string]*lwwRegister
+	logs    map[string]map[replicaID][]Point
 	eng     map[string]*SeriesEngine
 	segSize int
 	onMerge func(series string, added int)
@@ -139,8 +175,8 @@ type apState struct {
 
 // apSnapshot is the anti-entropy wire shape.
 type apSnapshot struct {
-	Regs   map[string]*crdt.LWWRegister         `json:"regs"`
-	Series map[string]map[crdt.ReplicaID][]byte `json:"series,omitempty"`
+	Regs   map[string]*lwwRegister         `json:"regs"`
+	Series map[string]map[replicaID][]byte `json:"series,omitempty"`
 }
 
 func (s *apState) engineLocked(name string) *SeriesEngine {
@@ -152,11 +188,11 @@ func (s *apState) engineLocked(name string) *SeriesEngine {
 	return eng
 }
 
-func (s *apState) appendLocal(origin crdt.ReplicaID, series string, pts []Point) {
+func (s *apState) appendLocal(origin replicaID, series string, pts []Point) {
 	s.mu.Lock()
 	origins, ok := s.logs[series]
 	if !ok {
-		origins = make(map[crdt.ReplicaID][]Point)
+		origins = make(map[replicaID][]Point)
 		s.logs[series] = origins
 	}
 	origins[origin] = append(origins[origin], pts...)
@@ -170,9 +206,9 @@ func (s *apState) Snapshot() ([]byte, error) {
 	defer s.mu.Unlock()
 	snap := apSnapshot{Regs: s.regs}
 	if len(s.logs) > 0 {
-		snap.Series = make(map[string]map[crdt.ReplicaID][]byte, len(s.logs))
+		snap.Series = make(map[string]map[replicaID][]byte, len(s.logs))
 		for name, origins := range s.logs {
-			m := make(map[crdt.ReplicaID][]byte, len(origins))
+			m := make(map[replicaID][]byte, len(origins))
 			for id, pts := range origins {
 				m[id] = appendPoints(nil, pts)
 			}
@@ -199,10 +235,10 @@ func (s *apState) Merge(remote []byte) error {
 	for k, r := range in.Regs {
 		cur, ok := s.regs[k]
 		if !ok {
-			cur = crdt.NewLWWRegister()
+			cur = &lwwRegister{}
 			s.regs[k] = cur
 		}
-		cur.Merge(r)
+		cur.merge(r)
 	}
 	names := make([]string, 0, len(in.Series))
 	for name := range in.Series {
@@ -218,7 +254,7 @@ func (s *apState) Merge(remote []byte) error {
 		sort.Strings(ids)
 		added := 0
 		for _, ids := range ids {
-			id := crdt.ReplicaID(ids)
+			id := replicaID(ids)
 			pts, _, err := decodePoints(nil, remOrigins[id])
 			if err != nil {
 				continue // corrupt origin stream: skip, keep the rest
@@ -230,7 +266,7 @@ func (s *apState) Merge(remote []byte) error {
 			suffix := pts[len(local):]
 			origins, ok := s.logs[name]
 			if !ok {
-				origins = make(map[crdt.ReplicaID][]Point)
+				origins = make(map[replicaID][]Point)
 				s.logs[name] = origins
 			}
 			origins[id] = append(local, suffix...)
@@ -258,7 +294,7 @@ type Replica struct {
 	cfg   ReplicaConfig
 	msg   gossip.Messenger
 	sched clock.Scheduler
-	id    crdt.ReplicaID
+	id    replicaID
 
 	mu      sync.Mutex
 	cp      map[string]versioned
@@ -280,12 +316,12 @@ func NewReplica(msg gossip.Messenger, sched clock.Scheduler, cfg ReplicaConfig) 
 		cfg:   cfg,
 		msg:   msg,
 		sched: sched,
-		id:    crdt.ReplicaID(msg.Self()),
+		id:    replicaID(msg.Self()),
 		cp:    make(map[string]versioned),
 		cpTS:  make(map[string]*cpSeries),
 		ap: &apState{
-			regs:    make(map[string]*crdt.LWWRegister),
-			logs:    make(map[string]map[crdt.ReplicaID][]Point),
+			regs:    make(map[string]*lwwRegister),
+			logs:    make(map[string]map[replicaID][]Point),
 			eng:     make(map[string]*SeriesEngine),
 			segSize: cfg.SegmentSize,
 		},
@@ -307,12 +343,6 @@ func (r *Replica) Stop() {
 	}
 }
 
-// Mode returns the replica's mode.
-func (r *Replica) Mode() Mode { return r.cfg.Mode }
-
-// Gossip returns the AP anti-entropy engine (nil in CP mode).
-func (r *Replica) Gossip() *gossip.Engine { return r.engine }
-
 // SetMergeHook registers fn to be called after anti-entropy merges
 // points into a series (AP mode only; added is the merged point count).
 // The sharded store uses it to emit trace events and metrics.
@@ -325,24 +355,18 @@ func (r *Replica) SetMergeHook(fn func(series string, added int)) {
 // quorum returns the majority size for the configured cluster.
 func (r *Replica) quorum() int { return r.cfg.ClusterSize/2 + 1 }
 
-// broadcast sends m to every peer under the configured codec.
+// broadcast sends m to every peer.
 func (r *Replica) broadcast(m *rpc) {
-	data, release, err := marshalRPC(r.cfg.Codec, m)
-	if err != nil {
-		return
-	}
+	data, release := marshalRPC(m)
 	for _, p := range r.msg.Peers() {
 		_ = r.msg.Send(p, data)
 	}
 	release()
 }
 
-// send sends m to one peer under the configured codec.
+// send sends m to one peer.
 func (r *Replica) send(to string, m *rpc) {
-	data, release, err := marshalRPC(r.cfg.Codec, m)
-	if err != nil {
-		return
-	}
+	data, release := marshalRPC(m)
 	_ = r.msg.Send(to, data)
 	release()
 }
@@ -353,10 +377,10 @@ func (r *Replica) Put(key string, val []byte, done func(err error)) {
 		r.ap.mu.Lock()
 		reg, ok := r.ap.regs[key]
 		if !ok {
-			reg = crdt.NewLWWRegister()
+			reg = &lwwRegister{}
 			r.ap.regs[key] = reg
 		}
-		reg.Set(int64(r.sched.Now()), r.id, val)
+		reg.set(int64(r.sched.Now()), r.id, val)
 		r.ap.mu.Unlock()
 		r.mu.Lock()
 		r.OpsOK++
@@ -400,7 +424,7 @@ func (r *Replica) Get(key string, done func(val []byte, err error)) {
 		r.ap.mu.Lock()
 		var val []byte
 		if reg, ok := r.ap.regs[key]; ok {
-			val = netbuf.CloneBytes(reg.Value())
+			val = netbuf.CloneBytes(reg.Val)
 		}
 		r.ap.mu.Unlock()
 		r.mu.Lock()
@@ -601,7 +625,7 @@ func (r *Replica) timeoutOp(reqID uint64) {
 }
 
 func (r *Replica) onCPMessage(from string, data []byte) {
-	m, err := unmarshalRPC(data)
+	m, err := parseRPC(data)
 	if err != nil {
 		return
 	}
@@ -697,53 +721,13 @@ func (r *Replica) LocalValue(key string) []byte {
 		r.ap.mu.Lock()
 		defer r.ap.mu.Unlock()
 		if reg, ok := r.ap.regs[key]; ok {
-			return netbuf.CloneBytes(reg.Value())
+			return netbuf.CloneBytes(reg.Val)
 		}
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return netbuf.CloneBytes(r.cp[key].Val)
-}
-
-// LocalSeriesRange returns the replica's local view of series points
-// with from <= T < to, bypassing quorum — convergence checks and the
-// scenario invariant read this.
-func (r *Replica) LocalSeriesRange(series string, from, to time.Duration) []Point {
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		defer r.ap.mu.Unlock()
-		if eng, ok := r.ap.eng[series]; ok {
-			return eng.Range(from, to)
-		}
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.cpTS[series]; ok {
-		return st.eng.Range(from, to)
-	}
-	return nil
-}
-
-// SeriesNames returns the locally known series, sorted.
-func (r *Replica) SeriesNames() []string {
-	var names []string
-	if r.cfg.Mode == ModeAP {
-		r.ap.mu.Lock()
-		for name := range r.ap.logs {
-			names = append(names, name)
-		}
-		r.ap.mu.Unlock()
-	} else {
-		r.mu.Lock()
-		for name := range r.cpTS {
-			names = append(names, name)
-		}
-		r.mu.Unlock()
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SeriesDigest folds the replica's time-series state into one hash;
@@ -772,7 +756,7 @@ func (r *Replica) SeriesDigest() uint64 {
 			sort.Strings(ids)
 			for _, id := range ids {
 				h = digestString(h, id)
-				h = digestPoints(h, origins[crdt.ReplicaID(id)])
+				h = digestPoints(h, origins[replicaID(id)])
 			}
 		}
 		return h

@@ -3,16 +3,13 @@ package store
 import (
 	"testing"
 	"time"
-
-	"iiotds/internal/metrics"
 )
 
-// Regression tests for the out-of-order contract on the flat Series
-// ring: late samples are stored (arrival-ordered retention), counted,
-// surfaced via a labeled metric, and Range repairs the order.
+// Regression tests for the out-of-order contract on a TSDB series:
+// late samples are stored, counted, and Range repairs the order.
 
 func TestSeriesOutOfOrderDetected(t *testing.T) {
-	s := NewSeries(10)
+	s := NewTSDB().Series("plant/temp")
 	s.Append(Point{T: secs(1), V: 1})
 	s.Append(Point{T: secs(3), V: 3})
 	s.Append(Point{T: secs(2), V: 2}) // late
@@ -26,7 +23,7 @@ func TestSeriesOutOfOrderDetected(t *testing.T) {
 }
 
 func TestSeriesRangeSortsOutOfOrder(t *testing.T) {
-	s := NewSeries(10)
+	s := NewTSDB().Series("plant/temp")
 	for _, i := range []int{1, 4, 2, 3} {
 		s.Append(Point{T: secs(i), V: float64(i)})
 	}
@@ -44,7 +41,7 @@ func TestSeriesRangeSortsOutOfOrder(t *testing.T) {
 }
 
 func TestSeriesRangeStableForEqualTimestamps(t *testing.T) {
-	s := NewSeries(10)
+	s := NewTSDB().Series("plant/temp")
 	s.Append(Point{T: secs(2), V: 1}) // first arrival at T=2s
 	s.Append(Point{T: secs(1), V: 0}) // late: forces the sort path
 	s.Append(Point{T: secs(2), V: 2}) // second arrival at T=2s
@@ -55,44 +52,23 @@ func TestSeriesRangeStableForEqualTimestamps(t *testing.T) {
 }
 
 func TestSeriesRangeInOrderFastPathUnchanged(t *testing.T) {
-	// With no out-of-order arrivals Range stays the plain arrival-order
-	// scan (the pre-refactor behavior).
-	s := NewSeries(5)
-	for i := 0; i < 8; i++ { // wraps the ring
+	// With no out-of-order arrivals Range is exactly arrival order,
+	// across closed segments and the open head.
+	s := NewTSDB().Series("plant/temp")
+	n := 2*DefaultSegmentSize + 5
+	for i := 0; i < n; i++ {
 		s.Append(Point{T: secs(i), V: float64(i)})
 	}
-	got := s.Range(0, time.Hour)
-	if len(got) != 5 || got[0].V != 3 || got[4].V != 7 {
-		t.Fatalf("Range = %+v", got)
+	got := s.Range(0, secs(n))
+	if len(got) != n || got[0].V != 0 || got[n-1].V != float64(n-1) {
+		t.Fatalf("Range returned %d points", len(got))
+	}
+	for i, p := range got {
+		if p.V != float64(i) {
+			t.Fatalf("point %d = %+v, want arrival order", i, p)
+		}
 	}
 	if s.OutOfOrder() != 0 {
 		t.Fatalf("OutOfOrder = %d on in-order input", s.OutOfOrder())
-	}
-}
-
-func TestSeriesOutOfOrderEvictionKeepsArrivalRetention(t *testing.T) {
-	// Retention evicts the oldest arrival, not the oldest timestamp: a
-	// late-but-retained sample survives an earlier-arrived newer one.
-	s := NewSeries(2)
-	s.Append(Point{T: secs(5), V: 5})
-	s.Append(Point{T: secs(1), V: 1}) // late
-	s.Append(Point{T: secs(6), V: 6}) // evicts the T=5s sample (oldest arrival)
-	got := s.Range(0, time.Hour)
-	if len(got) != 2 || got[0].T != secs(1) || got[1].T != secs(6) {
-		t.Fatalf("retained = %+v", got)
-	}
-}
-
-func TestSeriesOutOfOrderLabeledMetric(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s := NewSeries(10)
-	s.SetMetrics(reg, "plant/temp")
-	s.Append(Point{T: secs(2), V: 2})
-	s.Append(Point{T: secs(1), V: 1})
-	s.Append(Point{T: secs(3), V: 3})
-	s.Append(Point{T: secs(1), V: 1})
-	ctr := reg.CounterWith("store_ooo_points", metrics.L("series", "plant/temp"))
-	if got := ctr.Value(); got != 2 {
-		t.Fatalf("store_ooo_points{series=plant/temp} = %v, want 2", got)
 	}
 }

@@ -12,16 +12,16 @@ import (
 // --- time series ---
 
 func TestSeriesAppendAndLast(t *testing.T) {
-	s := NewSeries(4)
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series has a last point")
+	s := NewTSDB().Series("plant/temp")
+	if pts := s.Range(0, time.Hour); len(pts) != 0 {
+		t.Fatalf("empty series holds %v", pts)
 	}
 	for i := 1; i <= 3; i++ {
 		s.Append(Point{T: time.Duration(i) * time.Second, V: float64(i)})
 	}
-	last, ok := s.Last()
-	if !ok || last.V != 3 {
-		t.Fatalf("Last = %+v", last)
+	pts := s.Range(0, time.Hour)
+	if last := pts[len(pts)-1]; last.V != 3 {
+		t.Fatalf("last point = %+v", last)
 	}
 	if s.Len() != 3 || s.Total() != 3 {
 		t.Fatalf("Len/Total = %d/%d", s.Len(), s.Total())
@@ -29,25 +29,25 @@ func TestSeriesAppendAndLast(t *testing.T) {
 }
 
 func TestSeriesRingEviction(t *testing.T) {
-	s := NewSeries(3)
-	for i := 1; i <= 5; i++ {
+	// A TSDB series keeps the newest tsdbRetention points in closed
+	// segments; older ones are evicted, the open head rides on top.
+	s := NewTSDB().Series("plant/temp")
+	n := tsdbRetention + 3*DefaultSegmentSize + 7
+	for i := 1; i <= n; i++ {
 		s.Append(Point{T: time.Duration(i) * time.Second, V: float64(i)})
 	}
-	if s.Len() != 3 || s.Total() != 5 {
-		t.Fatalf("Len/Total = %d/%d", s.Len(), s.Total())
+	st := s.Stats()
+	if st.Retained != tsdbRetention+7 || st.OpenPoints != 7 || int(st.Evicted) != n-tsdbRetention-7 {
+		t.Fatalf("retention stats = %+v", st)
 	}
-	pts := s.Range(0, time.Hour)
-	if len(pts) != 3 || pts[0].V != 3 || pts[2].V != 5 {
-		t.Fatalf("Range = %+v", pts)
-	}
-	mean, ok := s.Mean()
-	if !ok || mean != 4 {
-		t.Fatalf("Mean = %v", mean)
+	pts := s.Range(0, time.Duration(n+1)*time.Second)
+	if len(pts) != st.Retained || pts[0].V != float64(n-st.Retained+1) || pts[len(pts)-1].V != float64(n) {
+		t.Fatalf("Range kept %d points, first %v last %v", len(pts), pts[0], pts[len(pts)-1])
 	}
 }
 
 func TestSeriesRangeBounds(t *testing.T) {
-	s := NewSeries(10)
+	s := NewTSDB().Series("plant/temp")
 	for i := 0; i < 10; i++ {
 		s.Append(Point{T: time.Duration(i) * time.Second, V: float64(i)})
 	}
@@ -57,17 +57,8 @@ func TestSeriesRangeBounds(t *testing.T) {
 	}
 }
 
-func TestSeriesZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSeries(0)
-}
-
 func TestTSDB(t *testing.T) {
-	db := NewTSDB(8)
+	db := NewTSDB()
 	db.Series("plant/temp").Append(Point{V: 20})
 	db.Series("plant/rpm").Append(Point{V: 900})
 	if db.Series("plant/temp") != db.Series("plant/temp") {

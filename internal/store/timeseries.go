@@ -6,12 +6,9 @@
 package store
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
-
-	"iiotds/internal/metrics"
 )
 
 // Point is one telemetry sample.
@@ -20,152 +17,29 @@ type Point struct {
 	V float64
 }
 
-// Series is a bounded in-memory time series (ring buffer). The zero
-// value is not usable; create with NewSeries.
-type Series struct {
-	mu      sync.Mutex
-	cap     int
-	pts     []Point
-	start   int
-	count   int
-	total   uint64
-	lastT   time.Duration
-	seenAny bool
-	ooo     uint64
-	oooCtr  *metrics.Counter
-}
+// tsdbRetention is the per-series point budget of a TSDB.
+const tsdbRetention = 4096
 
-// NewSeries creates a series retaining the most recent capacity points.
-func NewSeries(capacity int) *Series {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("store: series capacity %d", capacity))
-	}
-	return &Series{cap: capacity, pts: make([]Point, capacity)}
-}
-
-// Append records a sample. Samples should arrive in time order; a
-// sample whose T precedes the previously appended one is still stored
-// (retention is arrival-ordered) but is detected and counted — see
-// OutOfOrder and the Range contract.
-func (s *Series) Append(p Point) {
-	s.mu.Lock()
-	if s.seenAny && p.T < s.lastT {
-		s.ooo++
-		if s.oooCtr != nil {
-			s.oooCtr.Add(1)
-		}
-	} else {
-		s.lastT = p.T
-	}
-	s.seenAny = true
-	idx := (s.start + s.count) % s.cap
-	if s.count == s.cap {
-		s.pts[s.start] = p
-		s.start = (s.start + 1) % s.cap
-	} else {
-		s.pts[idx] = p
-		s.count++
-	}
-	s.total++
-	s.mu.Unlock()
-}
-
-// OutOfOrder returns how many appended samples arrived with a timestamp
-// earlier than a previously appended one.
-func (s *Series) OutOfOrder() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ooo
-}
-
-// SetMetrics counts this series' out-of-order arrivals in reg's
-// "store_ooo_points" counter, labeled with the series name.
-func (s *Series) SetMetrics(reg *metrics.Registry, name string) {
-	ctr := reg.CounterWith("store_ooo_points", metrics.L("series", name))
-	s.mu.Lock()
-	s.oooCtr = ctr
-	s.mu.Unlock()
-}
-
-// Len returns the number of retained points.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Total returns the number of points ever appended.
-func (s *Series) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Last returns the most recent point, if any.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return Point{}, false
-	}
-	return s.pts[(s.start+s.count-1)%s.cap], true
-}
-
-// Range returns the retained points with from <= T < to in
-// non-decreasing timestamp order. When every sample arrived in time
-// order this is exactly arrival order; when out-of-order samples were
-// appended the result is stable-sorted by T, so samples with equal
-// timestamps keep their arrival order. (Retention is unaffected: the
-// ring always evicts the oldest *arrival*, not the oldest timestamp.)
-func (s *Series) Range(from, to time.Duration) []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Point
-	for i := 0; i < s.count; i++ {
-		p := s.pts[(s.start+i)%s.cap]
-		if p.T >= from && p.T < to {
-			out = append(out, p)
-		}
-	}
-	if s.ooo > 0 {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	}
-	return out
-}
-
-// Mean returns the mean of retained values, or false when empty.
-func (s *Series) Mean() (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0, false
-	}
-	var sum float64
-	for i := 0; i < s.count; i++ {
-		sum += s.pts[(s.start+i)%s.cap].V
-	}
-	return sum / float64(s.count), true
-}
-
-// TSDB is a set of named series with a shared per-series capacity.
+// TSDB is a set of named series, each a SeriesEngine retaining the
+// newest tsdbRetention points.
 type TSDB struct {
-	mu       sync.Mutex
-	capacity int
-	series   map[string]*Series
+	mu     sync.Mutex
+	series map[string]*SeriesEngine
 }
 
-// NewTSDB creates a store whose series retain capacity points each.
-func NewTSDB(capacity int) *TSDB {
-	return &TSDB{capacity: capacity, series: make(map[string]*Series)}
+// NewTSDB creates an empty store.
+func NewTSDB() *TSDB {
+	return &TSDB{series: make(map[string]*SeriesEngine)}
 }
 
 // Series returns (creating if needed) the named series.
-func (db *TSDB) Series(name string) *Series {
+func (db *TSDB) Series(name string) *SeriesEngine {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s, ok := db.series[name]
 	if !ok {
-		s = NewSeries(db.capacity)
+		s = NewSeriesEngine(0)
+		s.SetRetention(tsdbRetention)
 		db.series[name] = s
 	}
 	return s

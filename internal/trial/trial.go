@@ -76,7 +76,7 @@ func (t *Trial) ObserveTrace(rec *trace.Recorder) {
 // ObserveMedium attaches a flight recorder to a hand-built radio medium
 // and registers it with the trial, sized by trace.DefaultCapacity().
 // Experiments that assemble their own stack (rather than going through
-// core.NewDeployment) call this right after radio.NewMedium so their
+// core.NewStack) call this right after radio.NewMedium so their
 // MAC/radio events land in the sweep's trace summary. Returns nil — and
 // records nothing — when tracing is disabled, so the emit fast paths
 // stay allocation-free.
@@ -104,13 +104,6 @@ type RunStats struct {
 	// folded in trial-index order (the merge is associative, so the
 	// result is identical at any parallelism level).
 	Trace trace.Summary `json:"trace"`
-}
-
-// Add merges o into s.
-func (s *RunStats) Add(o RunStats) {
-	s.Trials += o.Trials
-	s.Events.Add(o.Events)
-	s.Trace.Add(o.Trace)
 }
 
 // traceSink, when set, receives every observed recorder during the
