@@ -53,7 +53,7 @@ func run() int {
 	markdown := flag.Bool("markdown", false, "emit markdown (EXPERIMENTS.md body) instead of tables")
 	jsonOut := flag.Bool("json", false, "emit a JSON report (tables + kernel stats + wall times)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "trial worker goroutines per experiment (<=1 = sequential)")
-	shards := flag.Int("shards", 0, "worker threads the sharded experiments (E15) fan one deployment's stripes across (<=0 = one per stripe); tables are byte-identical at every setting")
+	shards := flag.Int("shards", 0, "worker count for the sharded experiments (E15) (<=0 = one per stripe); every window currently runs inline, so it has no effect; tables are byte-identical at every setting")
 	spatial := flag.Bool("spatial", true, "use the cell-grid spatial index for radio fan-out; false selects the brute-force O(N) baseline (identical tables, different wall time)")
 	storeShards := flag.Int("store-shards", 0, "shard count P for the storage-tier experiment's (E16) sharded rows (<=0 = default 8); a model parameter — rows change with it, deterministically")
 	storeMode := flag.String("store-mode", "", "restrict the storage-tier experiment (E16) to one replication mode (cp or ap); empty = both")

@@ -52,7 +52,7 @@ func main() {
 	traceLayer := flag.String("trace-layer", "", "restrict -trace-out to a comma-separated set of layers: radio, mac, link, rpl, coap, bus, fault, store")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at the end")
 	scenarioSpec := flag.String("scenario", "", "replay a scenario reproducer string (scn1;...) instead of building from flags; exits 1 if an invariant is violated")
-	shards := flag.Int("shards", 1, "stripe the deployment over this many simulation kernels (DESIGN.md §9) and run them in parallel; the stripe count is a model parameter, so results are pinned per value")
+	shards := flag.Int("shards", 1, "stripe the deployment over this many simulation kernels (DESIGN.md §9) synchronized in lookahead windows; the stripe count is a model parameter, so results are pinned per value")
 	storeShards := flag.Int("store-shards", 0, "attach a partitioned time-series store (DESIGN.md §10) at the border router with this many shards and ingest every node's reading each -epoch into it (0 = no storage tier)")
 	storeModeFlag := flag.String("store-mode", "ap", "replication mode for -store-shards: ap (CRDT + anti-entropy) or cp (quorum)")
 	flag.Parse()

@@ -29,8 +29,8 @@ var shardWorkers = 0
 // brute-force O(N) scan.
 var spatialIndex = true
 
-// SetShardWorkers sets how many OS threads a sharded experiment fans
-// its stripes across. n <= 0 restores the default (one per stripe).
+// SetShardWorkers sets the worker count a sharded experiment passes to
+// ShardGroup.SetWorkers. n <= 0 restores the default (one per stripe).
 // Execution policy only: tables are byte-identical at any setting.
 func SetShardWorkers(n int) { shardWorkers = n }
 

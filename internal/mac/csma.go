@@ -3,7 +3,6 @@ package mac
 import (
 	"time"
 
-	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -40,6 +39,7 @@ type CSMA struct {
 	id  radio.NodeID
 	cfg CSMAConfig
 
+	meters  meters
 	handler Handler
 	q       sendq
 	sending bool
@@ -70,7 +70,7 @@ var _ MAC = (*CSMA)(nil)
 // medium by the caller with this MAC as receiver, or use Attach.
 func NewCSMA(m *radio.Medium, id radio.NodeID, cfg CSMAConfig) *CSMA {
 	cfg.applyDefaults()
-	c := &CSMA{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	c := &CSMA{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup(), meters: meters{m: m, id: id, proto: "csma"}}
 	c.firstTryFn = func() { c.tryTransmit(1) }
 	c.ackTimeoutFn = c.onAckTimeout
 	c.bcastDoneFn = func() { c.finish(true) }
@@ -117,7 +117,7 @@ func (c *CSMA) Start() {
 	c.m.SetListening(c.id, true)
 	// Accrue idle-listening energy once per simulated second.
 	c.accrual = c.k.Every(time.Second, 0, func() {
-		c.m.Energy().Ledger(int(c.id)).Spend(metrics.StateListen, time.Second)
+		c.meters.listen(time.Second)
 	})
 }
 
@@ -230,12 +230,12 @@ func (c *CSMA) onAckTimeout() {
 	}
 	c.attempt++
 	if c.attempt > c.cfg.MaxRetries {
-		c.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "csma")).Inc()
+		c.meters.inc(ctrTxFailed)
 		c.m.Recorder().Emit(int32(c.id), trace.MACTxFail, int64(c.awaitAckTo), int64(c.attempt), 0, jid)
 		c.finish(false)
 		return
 	}
-	c.m.Registry().CounterWith("mac.retries", metrics.L("mac", "csma")).Inc()
+	c.meters.inc(ctrRetries)
 	c.m.Recorder().Emit(int32(c.id), trace.MACRetry, int64(c.awaitAckTo), int64(c.attempt), 0, jid)
 	c.initialBackoff()
 }

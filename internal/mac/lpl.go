@@ -3,7 +3,6 @@ package mac
 import (
 	"time"
 
-	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -55,6 +54,7 @@ type LPL struct {
 	id  radio.NodeID
 	cfg LPLConfig
 
+	meters  meters
 	handler Handler
 	q       sendq
 	sending bool
@@ -83,7 +83,7 @@ var _ MAC = (*LPL)(nil)
 // NewLPL creates an LPL MAC for node id on medium m.
 func NewLPL(m *radio.Medium, id radio.NodeID, cfg LPLConfig) *LPL {
 	cfg.applyDefaults()
-	l := &LPL{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	l := &LPL{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup(), meters: meters{m: m, id: id, proto: "lpl"}}
 	l.strobeFn = l.strobeOnce
 	return l
 }
@@ -155,7 +155,7 @@ func (l *LPL) setAwake(on bool) {
 		l.lastAwake = l.k.Now()
 	} else {
 		// Charge idle listening for the awake span.
-		l.m.Energy().Ledger(int(l.id)).Spend(metrics.StateListen, l.k.Now()-l.lastAwake)
+		l.meters.listen(l.k.Now() - l.lastAwake)
 	}
 	l.awake = on
 	l.m.SetListening(l.id, on)
@@ -264,7 +264,7 @@ func (l *LPL) strobeOnce() {
 		From: l.id, To: it.to, Channel: l.cfg.Channel, Tenant: l.cfg.Tenant,
 		Size: it.buf.Len(), Payload: it.buf,
 	})
-	l.m.Registry().CounterWith("mac.strobes", metrics.L("mac", "lpl")).Inc()
+	l.meters.inc(ctrStrobes)
 	l.m.Recorder().Emit(int32(l.id), trace.MACStrobe, int64(it.to), 0, 0, it.buf.Journey())
 	l.k.Schedule(air+l.cfg.StrobeGap, l.strobeFn)
 }
@@ -280,7 +280,7 @@ func (l *LPL) endStrobe(ok bool) {
 		it.done(ok)
 	}
 	if !ok {
-		l.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "lpl")).Inc()
+		l.meters.inc(ctrTxFailed)
 		l.m.Recorder().Emit(int32(l.id), trace.MACTxFail, int64(it.to), 0, 0, jid)
 	}
 	l.startNext()

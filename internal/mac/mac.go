@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"time"
 
+	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 )
@@ -210,6 +211,47 @@ func (d *dedup) forget(from radio.NodeID) {
 func (d *dedup) reset() {
 	d.last = make(map[radio.NodeID]uint16)
 	d.seen = make(map[radio.NodeID]bool)
+}
+
+// macCounter names a counter a MAC bumps on a hot path.
+type macCounter uint8
+
+const (
+	ctrRetries macCounter = iota
+	ctrTxFailed
+	ctrStrobes
+	ctrBeacons
+	numCounters
+)
+
+var counterNames = [numCounters]string{"mac.retries", "mac.tx_failed", "mac.strobes", "mac.beacons"}
+
+// meters holds the metric handles a MAC's hot paths touch. Each handle
+// is resolved from the medium on first use and reused after, so a
+// series or ledger appears exactly when a per-call lookup would have
+// created it, and later calls skip the registry's keyed, locked lookup.
+type meters struct {
+	m        *radio.Medium
+	id       radio.NodeID
+	proto    string // the series' "mac" label
+	counters [numCounters]*metrics.Counter
+	ledger   *metrics.EnergyLedger
+}
+
+// inc bumps counter c, labelled with the MAC's protocol.
+func (h *meters) inc(c macCounter) {
+	if h.counters[c] == nil {
+		h.counters[c] = h.m.Registry().CounterWith(counterNames[c], metrics.L("mac", h.proto))
+	}
+	h.counters[c].Inc()
+}
+
+// listen books d of idle listening to the node's energy ledger.
+func (h *meters) listen(d time.Duration) {
+	if h.ledger == nil {
+		h.ledger = h.m.Energy().Ledger(int(h.id))
+	}
+	h.ledger.Spend(metrics.StateListen, d)
 }
 
 // Config carries the knobs common to all MACs.

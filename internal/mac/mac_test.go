@@ -118,6 +118,37 @@ func TestCSMAFailsOnDeadLink(t *testing.T) {
 	}
 }
 
+// TestMACCountersCreatedOnFirstUse pins the lazy handle cache: a
+// counter series exists only once the MAC has bumped it, as with a
+// per-call registry lookup, and every later bump lands in the same one.
+func TestMACCountersCreatedOnFirstUse(t *testing.T) {
+	k, m, a, _ := buildPair(func(m *radio.Medium, id radio.NodeID) MAC {
+		return NewCSMA(m, id, CSMAConfig{Config: Config{MaxRetries: 3}})
+	})
+	has := func(name string) bool {
+		for _, n := range m.Registry().CounterNames() {
+			if n == name {
+				return true
+			}
+		}
+		return false
+	}
+	a.Send(2, []byte("x"), nil)
+	k.RunFor(time.Second)
+	if has("mac.retries") || has("mac.tx_failed") {
+		t.Fatalf("clean delivery created retry/failure series: %v", m.Registry().CounterNames())
+	}
+	m.SetLinkPRR(1, 2, 0)
+	a.Send(2, []byte("x"), nil)
+	a.Send(2, []byte("y"), nil)
+	k.RunFor(10 * time.Second)
+	retries := m.Registry().CounterWith("mac.retries", metrics.L("mac", "csma")).Value()
+	failed := m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "csma")).Value()
+	if retries != 6 || failed != 2 {
+		t.Fatalf("retries=%v tx_failed=%v, want 6 and 2", retries, failed)
+	}
+}
+
 func TestCSMARecoversFromLoss(t *testing.T) {
 	k, m, a, b := buildPair(func(m *radio.Medium, id radio.NodeID) MAC {
 		return NewCSMA(m, id, CSMAConfig{Config: Config{MaxRetries: 10}})

@@ -3,7 +3,6 @@ package mac
 import (
 	"time"
 
-	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -50,6 +49,7 @@ type RIMAC struct {
 	id  radio.NodeID
 	cfg RIMACConfig
 
+	meters  meters
 	handler Handler
 	q       sendq
 	sending bool
@@ -78,7 +78,7 @@ var _ MAC = (*RIMAC)(nil)
 // NewRIMAC creates a receiver-initiated MAC for node id on medium m.
 func NewRIMAC(m *radio.Medium, id radio.NodeID, cfg RIMACConfig) *RIMAC {
 	cfg.applyDefaults()
-	return &RIMAC{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	return &RIMAC{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup(), meters: meters{m: m, id: id, proto: "rimac"}}
 }
 
 // Name implements MAC.
@@ -147,7 +147,7 @@ func (r *RIMAC) setAwake(on bool) {
 	if on {
 		r.lastAwake = r.k.Now()
 	} else {
-		r.m.Energy().Ledger(int(r.id)).Spend(metrics.StateListen, r.k.Now()-r.lastAwake)
+		r.meters.listen(r.k.Now() - r.lastAwake)
 	}
 	r.awake = on
 	r.m.SetListening(r.id, on)
@@ -165,7 +165,7 @@ func (r *RIMAC) beacon() {
 		Tenant: r.cfg.Tenant, Size: bcn.Len(), Payload: bcn,
 	})
 	bcn.Release()
-	r.m.Registry().CounterWith("mac.beacons", metrics.L("mac", "rimac")).Inc()
+	r.meters.inc(ctrBeacons)
 	r.m.Recorder().Emit(int32(r.id), trace.MACBeacon, 0, 0, 0, 0)
 	r.scheduleSleep(r.cfg.Dwell)
 }
@@ -251,7 +251,7 @@ func (r *RIMAC) waitExpired() {
 	}
 	r.attempt++
 	if r.attempt > r.cfg.MaxRetries {
-		r.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "rimac")).Inc()
+		r.meters.inc(ctrTxFailed)
 		r.m.Recorder().Emit(int32(r.id), trace.MACTxFail, int64(it.to), int64(r.attempt), 0, it.buf.Journey())
 		r.finish(false)
 		return

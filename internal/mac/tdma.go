@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"iiotds/internal/metrics"
 	"iiotds/internal/netbuf"
 	"iiotds/internal/radio"
 	"iiotds/internal/sim"
@@ -52,6 +51,7 @@ type TDMA struct {
 	id  radio.NodeID
 	cfg TDMAConfig
 
+	meters  meters
 	handler Handler
 	q       sendq
 	seq     uint16
@@ -83,7 +83,7 @@ func NewTDMA(m *radio.Medium, id radio.NodeID, cfg TDMAConfig) *TDMA {
 			panic(fmt.Sprintf("mac: RxSlot %d outside epoch of %d slots", s, cfg.SlotsPerEpoch))
 		}
 	}
-	t := &TDMA{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup()}
+	t := &TDMA{m: m, k: m.Kernel(), id: id, cfg: cfg, dedup: newDedup(), meters: meters{m: m, id: id, proto: "tdma"}}
 	t.endTxFn = t.endTxSlot
 	return t
 }
@@ -208,7 +208,7 @@ func (t *TDMA) rxSlot() {
 		return
 	}
 	t.m.SetListening(t.id, true)
-	t.m.Energy().Ledger(int(t.id)).Spend(metrics.StateListen, t.cfg.SlotDuration)
+	t.meters.listen(t.cfg.SlotDuration)
 	t.k.Schedule(t.cfg.SlotDuration, func() {
 		// Another slot may have turned the radio on again; only sleep
 		// if no rx slot is in progress. Slots are non-overlapping by
@@ -241,7 +241,7 @@ func (t *TDMA) txSlot() {
 		From: t.id, To: it.to, Channel: t.cfg.Channel, Tenant: t.cfg.Tenant,
 		Size: it.buf.Len(), Payload: it.buf,
 	})
-	t.m.Energy().Ledger(int(t.id)).Spend(metrics.StateListen, t.cfg.SlotDuration-t.guard()-air)
+	t.meters.listen(t.cfg.SlotDuration - t.guard() - air)
 	t.pending = append(t.pending, t.k.Schedule(t.cfg.SlotDuration-t.guard()-time.Nanosecond, t.endTxFn))
 }
 
@@ -255,11 +255,11 @@ func (t *TDMA) endTxSlot() {
 	if !ok {
 		t.attempt++
 		if t.attempt <= t.cfg.MaxRetries {
-			t.m.Registry().CounterWith("mac.retries", metrics.L("mac", "tdma")).Inc()
+			t.meters.inc(ctrRetries)
 			t.m.Recorder().Emit(int32(t.id), trace.MACRetry, int64(it.to), int64(t.attempt), 0, it.buf.Journey())
 			return // retry in next epoch's tx slot
 		}
-		t.m.Registry().CounterWith("mac.tx_failed", metrics.L("mac", "tdma")).Inc()
+		t.meters.inc(ctrTxFailed)
 		t.m.Recorder().Emit(int32(t.id), trace.MACTxFail, int64(it.to), int64(t.attempt), 0, it.buf.Journey())
 	}
 	fin := t.q.pop()

@@ -101,6 +101,44 @@ type routeEntry struct {
 	refreshed sim.Time
 }
 
+// rplCounter names a counter the router bumps.
+type rplCounter uint8
+
+const (
+	ctrDIOSent rplCounter = iota
+	ctrDAOSent
+	ctrDISSent
+	ctrProbeSent
+	ctrParentLost
+	ctrDAOFwd
+	ctrRankRunawayDetach
+	ctrParentSwitches
+	ctrNoRouteDrops
+	ctrLinkDrops
+	ctrDatagramsForwarded
+	ctrMalformedFrames
+	ctrHoplimitDrops
+	ctrDelivered
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	"rpl.dio_sent",
+	"rpl.dao_sent",
+	"rpl.dis_sent",
+	"rpl.probe_sent",
+	"rpl.parent_lost",
+	"rpl.dao_fwd",
+	"rpl.rank_runaway_detach",
+	"rpl.parent_switches",
+	"rpl.no_route_drops",
+	"rpl.link_drops",
+	"rpl.datagrams_forwarded",
+	"rpl.malformed_frames",
+	"rpl.hoplimit_drops",
+	"rpl.delivered",
+}
+
 // Router is one node's RPL instance: it forms and maintains the DODAG,
 // and routes lowpan datagrams upward (toward the border router) and
 // downward (storing mode).
@@ -110,6 +148,10 @@ type Router struct {
 	adapt *lowpan.Adaptation
 	cfg   Config
 	reg   *metrics.Registry
+	// ctrs caches each counter handle from reg on first use, so a
+	// series appears exactly when a per-call lookup would have created
+	// it and later calls skip the registry's locked lookup.
+	ctrs [numCounters]*metrics.Counter
 
 	id      radio.NodeID
 	isRoot  bool
@@ -141,6 +183,14 @@ type Router struct {
 	fscratch []*netbuf.Buffer // reused frame slice for route()
 
 	rec *trace.Recorder
+}
+
+// inc bumps counter c.
+func (r *Router) inc(c rplCounter) {
+	if r.ctrs[c] == nil {
+		r.ctrs[c] = r.reg.Counter(counterNames[c])
+	}
+	r.ctrs[c].Inc()
 }
 
 // NewRouter creates a router for the node behind lnk. If isRoot is true
@@ -298,14 +348,14 @@ func (r *Router) sendDIO() {
 		return
 	}
 	d := dio{Version: r.version, Rank: r.rank, Root: r.root}
-	r.reg.Counter("rpl.dio_sent").Inc()
+	r.inc(ctrDIOSent)
 	r.rec.Emit(int32(r.id), trace.RPLDIOSent, int64(radio.Broadcast), int64(r.rank), 0, 0)
 	r.lnk.Broadcast(link.ProtoRouting, d.encode())
 }
 
 func (r *Router) sendDIOTo(to radio.NodeID) {
 	d := dio{Version: r.version, Rank: r.rank, Root: r.root}
-	r.reg.Counter("rpl.dio_sent").Inc()
+	r.inc(ctrDIOSent)
 	r.rec.Emit(int32(r.id), trace.RPLDIOSent, int64(to), int64(r.rank), 0, 0)
 	r.lnk.Send(to, link.ProtoRouting, d.encode(), nil)
 }
@@ -316,7 +366,7 @@ func (r *Router) sendDAO() {
 	}
 	r.daoSeq++
 	d := dao{Target: r.id, Seq: r.daoSeq}
-	r.reg.Counter("rpl.dao_sent").Inc()
+	r.inc(ctrDAOSent)
 	r.rec.Emit(int32(r.id), trace.RPLDAOSent, int64(r.parent), int64(r.daoSeq), 0, 0)
 	parent := r.parent
 	r.lnk.Send(parent, link.ProtoRouting, d.encode(), func(ok bool) {
@@ -329,14 +379,14 @@ func (r *Router) probeParent() {
 	if r.parent == NoParent {
 		// Detached: keep soliciting.
 		r.lnk.Broadcast(link.ProtoRouting, []byte{byte(msgDIS)})
-		r.reg.Counter("rpl.dis_sent").Inc()
+		r.inc(ctrDISSent)
 		return
 	}
 	parent := r.parent
 	r.lnk.Send(parent, link.ProtoRouting, []byte{byte(msgDIS)}, func(ok bool) {
 		r.noteParentTx(parent, ok)
 	})
-	r.reg.Counter("rpl.probe_sent").Inc()
+	r.inc(ctrProbeSent)
 }
 
 // noteParentTx folds a transmission outcome toward the (then-)parent into
@@ -357,7 +407,7 @@ func (r *Router) noteParentTx(parent radio.NodeID, ok bool) {
 	}
 	r.parentFails++
 	if r.parentFails >= r.cfg.ParentFailThreshold {
-		r.reg.Counter("rpl.parent_lost").Inc()
+		r.inc(ctrParentLost)
 		delete(r.candidates, parent)
 		r.parentFails = 0
 	}
@@ -449,7 +499,7 @@ func (r *Router) onDAO(from radio.NodeID, d dao) {
 		r.lnk.Send(parent, link.ProtoRouting, d.encode(), func(ok bool) {
 			r.noteParentTx(parent, ok)
 		})
-		r.reg.Counter("rpl.dao_fwd").Inc()
+		r.inc(ctrDAOFwd)
 	}
 }
 
@@ -536,7 +586,7 @@ func (r *Router) adoptRank(p radio.NodeID, rank uint16) {
 		if uint32(rank) > uint32(r.lowestRank)+uint32(r.cfg.MaxRankIncrease) {
 			// Rank ran away: the RPL cure is to detach, poison, and
 			// rejoin from fresh advertisements.
-			r.reg.Counter("rpl.rank_runaway_detach").Inc()
+			r.inc(ctrRankRunawayDetach)
 			r.detach()
 			return
 		}
@@ -562,7 +612,7 @@ func (r *Router) setParent(p radio.NodeID, rank uint16) {
 	r.rank = rank
 	r.parentFails = 0
 	if changed {
-		r.reg.Counter("rpl.parent_switches").Inc()
+		r.inc(ctrParentSwitches)
 		r.rec.Emit(int32(r.id), trace.RPLParentSwitch, int64(old), int64(p), 0, 0)
 		if p != NoParent {
 			if !r.joined {
@@ -623,7 +673,7 @@ func (r *Router) route(d *lowpan.Datagram) error {
 		next = r.parent
 	}
 	if next == NoParent {
-		r.reg.Counter("rpl.no_route_drops").Inc()
+		r.inc(ctrNoRouteDrops)
 		r.rec.Emit(int32(r.id), trace.RPLNoRoute, int64(d.Src), int64(d.Dst), 0, d.Journey)
 		return fmt.Errorf("%w: %d -> %d", ErrNoRoute, r.id, d.Dst)
 	}
@@ -639,11 +689,11 @@ func (r *Router) route(d *lowpan.Datagram) error {
 				r.noteParentTx(nh, ok)
 			}
 			if !ok {
-				r.reg.Counter("rpl.link_drops").Inc()
+				r.inc(ctrLinkDrops)
 			}
 		})
 	}
-	r.reg.Counter("rpl.datagrams_forwarded").Inc()
+	r.inc(ctrDatagramsForwarded)
 	r.rec.Emit(int32(r.id), trace.RPLForward, int64(next), int64(d.Dst), 0, d.Journey)
 	return nil
 }
@@ -672,7 +722,7 @@ func (r *Router) sweepRoutes() {
 func (r *Router) onNet(from radio.NodeID, frame []byte) {
 	d, err := r.adapt.Feed(r.k.Now(), from, frame)
 	if err != nil {
-		r.reg.Counter("rpl.malformed_frames").Inc()
+		r.inc(ctrMalformedFrames)
 		return
 	}
 	if d == nil {
@@ -687,7 +737,7 @@ func (r *Router) onNet(from radio.NodeID, frame []byte) {
 		return
 	}
 	if d.HopLimit <= 1 {
-		r.reg.Counter("rpl.hoplimit_drops").Inc()
+		r.inc(ctrHoplimitDrops)
 		return
 	}
 	d.HopLimit--
@@ -695,7 +745,7 @@ func (r *Router) onNet(from radio.NodeID, frame []byte) {
 }
 
 func (r *Router) deliver(d *lowpan.Datagram) {
-	r.reg.Counter("rpl.delivered").Inc()
+	r.inc(ctrDelivered)
 	r.rec.Emit(int32(r.id), trace.RPLDeliver, int64(d.Src), int64(d.Proto), 0, d.Journey)
 	if h, ok := r.handlers[d.Proto]; ok {
 		// The handler runs in this packet's journey context so that a

@@ -11,20 +11,24 @@
 // barrier, cross-stripe handoffs queued with Post are applied in a fixed
 // (source stripe, append) order on the driver goroutine.
 //
+// The driver runs every window inline, stripe after stripe. Windows are
+// small — a handful of events across all stripes is typical for a sparse
+// fleet — so handing a stripe to another core costs about as much as
+// running it, and a per-window goroutine spawn cost more than the work
+// it spread (DESIGN.md §9).
+//
 // Determinism (DESIGN.md §5) survives by construction: the window
 // sequence is a pure function of the stripes' queue states at barriers,
 // each stripe's execution inside a window is single-threaded against its
 // own kernel and RNG, and the barrier drain order is fixed. The worker
-// count (SetWorkers) only chooses how many OS threads the per-window
-// stripe runs are spread over — it can never reorder a draw — so a run
-// is byte-identical at any worker count, the same property the trial
-// runner gives independent trials.
+// count (SetWorkers) is execution policy that can never reorder a draw,
+// so a run is byte-identical at any worker count, the same property the
+// trial runner gives independent trials.
 package sim
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // ShardGroup synchronizes a fixed set of kernels (stripes) through
@@ -38,7 +42,6 @@ import (
 type ShardGroup struct {
 	kernels   []*Kernel
 	lookahead Time
-	workers   int
 	now       Time
 
 	// out[src][dst] holds the handoffs stripe src queued for stripe dst
@@ -80,7 +83,7 @@ func NewShardGroup(lookahead Time, kernels ...*Kernel) *ShardGroup {
 	for i := range out {
 		out[i] = make([][]func(), len(kernels))
 	}
-	return &ShardGroup{kernels: kernels, lookahead: lookahead, workers: 1, out: out}
+	return &ShardGroup{kernels: kernels, lookahead: lookahead, out: out}
 }
 
 // Lookahead returns the group's conservative lookahead.
@@ -95,18 +98,12 @@ func (g *ShardGroup) Windows() uint64 { return g.windows }
 // Handoffs returns how many cross-stripe handoffs have been applied.
 func (g *ShardGroup) Handoffs() uint64 { return g.handoffs }
 
-// SetWorkers sets how many OS threads per-window stripe execution fans
-// across. n is clamped to [1, Stripes()]. The setting never affects
-// results, only wall-clock time.
-func (g *ShardGroup) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(g.kernels) {
-		n = len(g.kernels)
-	}
-	g.workers = n
-}
+// SetWorkers sets how many goroutines per-window stripe execution may
+// fan across. Every window currently runs inline on the driver
+// goroutine, the fastest way measured for the fleets this repository
+// simulates (DESIGN.md §9), so n is accepted and has no effect. Like
+// any worker count, it never affects results.
+func (g *ShardGroup) SetWorkers(n int) {}
 
 // Post queues fn to run at the next barrier, attributed to source stripe
 // src. fn executes on the driver goroutine with every stripe quiescent
@@ -183,26 +180,8 @@ func (g *ShardGroup) runControl() {
 // runWindow advances every stripe to end (executing events strictly
 // before it), then applies the window's handoffs.
 func (g *ShardGroup) runWindow(end Time) {
-	w := g.workers
-	if w > len(g.kernels) {
-		w = len(g.kernels)
-	}
-	if w <= 1 {
-		for _, k := range g.kernels {
-			k.RunBefore(end)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for j := i; j < len(g.kernels); j += w {
-					g.kernels[j].RunBefore(end)
-				}
-			}(i)
-		}
-		wg.Wait()
+	for _, k := range g.kernels {
+		k.RunBefore(end)
 	}
 	g.windows++
 	g.now = end

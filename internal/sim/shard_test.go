@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -45,17 +46,30 @@ func TestNextEventAt(t *testing.T) {
 	}
 }
 
-// shardScript drives a two-stripe group where each stripe runs a
+// shardRun is everything a ShardGroup run exposes that must not depend
+// on how its windows were executed.
+type shardRun struct {
+	logs     [][]string
+	stats    Stats
+	windows  uint64
+	handoffs uint64
+}
+
+// shardScript drives an eight-stripe group where each stripe runs a
 // periodic local workload drawing from its own RNG and occasionally
-// hands a message across the barrier. Each stripe keeps its own
-// transcript (stripes share nothing during a window, including a log).
-func shardScript(workers int) [][]string {
-	k0, k1 := New(100), New(200)
-	g := NewShardGroup(time.Millisecond, k0, k1)
+// hands a message to another stripe across the barrier. Each stripe
+// keeps its own transcript (stripes share nothing during a window,
+// including a log).
+func shardScript(workers int) shardRun {
+	const n = 8
+	kernels := make([]*Kernel, n)
+	for i := range kernels {
+		kernels[i] = New(int64(100 * (i + 1)))
+	}
+	g := NewShardGroup(time.Millisecond, kernels...)
 	g.SetWorkers(workers)
 
-	logs := make([][]string, 2)
-	kernels := []*Kernel{k0, k1}
+	logs := make([][]string, n)
 	for i, k := range kernels {
 		i, k := i, k
 		var tick func()
@@ -63,7 +77,7 @@ func shardScript(workers int) [][]string {
 			v := k.Rand().Intn(1000)
 			logs[i] = append(logs[i], fmt.Sprintf("t=%v draw=%d", k.Now(), v))
 			if v%3 == 0 {
-				dst := 1 - i
+				dst := (i + 1 + v%(n-1)) % n
 				at := k.Now()
 				g.Post(i, dst, func() {
 					kernels[dst].At(at+g.Lookahead(), func() {
@@ -71,27 +85,81 @@ func shardScript(workers int) [][]string {
 					})
 				})
 			}
-			k.Schedule(700*time.Microsecond, tick)
+			k.Schedule(time.Duration(500+100*i)*time.Microsecond, tick)
 		}
 		k.Schedule(time.Duration(i+1)*300*time.Microsecond, tick)
 	}
 	g.At(25*time.Millisecond, func() { logs[0] = append(logs[0], fmt.Sprintf("ctl t=%v", g.Now())) })
-	g.RunUntil(50 * time.Millisecond)
-	return logs
+	// Many RunUntil calls, so windows are cut at many call boundaries.
+	for end := 10 * time.Millisecond; end <= 5*time.Second; end += 10 * time.Millisecond {
+		g.RunUntil(end)
+	}
+	return shardRun{logs: logs, stats: g.Stats(), windows: g.Windows(), handoffs: g.Handoffs()}
 }
 
 // TestShardGroupWorkerInvariance is the core determinism property: each
 // stripe's full transcript (RNG draws, handoff arrival times, control
-// callbacks) is identical whether stripes run on one worker or many.
+// callbacks) and the group's counters are identical at every worker
+// count. GOMAXPROCS is raised so a worker count is never capped by the
+// host's cores.
 func TestShardGroupWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	seq := shardScript(1)
-	if len(seq[0]) == 0 || len(seq[1]) == 0 {
-		t.Fatal("script produced no events")
-	}
-	for _, w := range []int{2, 4} {
-		if par := shardScript(w); !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d transcripts differ from workers=1:\nseq: %v\npar: %v", w, seq, par)
+	for i, l := range seq.logs {
+		if len(l) == 0 {
+			t.Fatalf("stripe %d produced no events", i)
 		}
+	}
+	if seq.handoffs == 0 {
+		t.Fatal("script produced no handoffs")
+	}
+	for _, w := range []int{2, 3, 8} {
+		got := shardScript(w)
+		if !reflect.DeepEqual(seq.logs, got.logs) {
+			t.Fatalf("workers=%d transcripts differ from workers=1:\nseq: %v\ngot: %v", w, seq.logs, got.logs)
+		}
+		if got.stats != seq.stats || got.windows != seq.windows || got.handoffs != seq.handoffs {
+			t.Fatalf("workers=%d: stats %+v windows %d handoffs %d, want %+v %d %d",
+				w, got.stats, got.windows, got.handoffs, seq.stats, seq.windows, seq.handoffs)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once goroutines that are
+// still returning (an earlier test's, say) have had the CPU and exited:
+// the count has not dropped over 100 consecutive yields.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 100; still++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m < n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// TestShardGroupLeavesNoGoroutines checks that RunUntil starts no
+// goroutine at any worker count: none is running while stripes execute,
+// and none is left once the call returns.
+func TestShardGroupLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := settledGoroutines()
+	kernels := []*Kernel{New(1), New(2), New(3), New(4)}
+	g := NewShardGroup(time.Millisecond, kernels...)
+	g.SetWorkers(4)
+	during := 0
+	for _, k := range kernels {
+		k.Every(300*time.Microsecond, 0, func() { during = max(during, runtime.NumGoroutine()) })
+	}
+	for _, end := range []Time{10 * time.Millisecond, 20 * time.Millisecond} {
+		g.RunUntil(end)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("after RunUntil(%v): %d goroutines, want at most baseline %d", end, n, base)
+		}
+	}
+	if during == 0 || during > base {
+		t.Fatalf("goroutines while stripes ran = %d, want 1..%d (baseline)", during, base)
 	}
 }
 

@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -66,7 +65,7 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	e := ev.e
-	heap.Remove(&e.k.queue, e.index)
+	e.k.queue.remove(e.index)
 	e.k.stats.Canceled++
 	e.k.recycle(e)
 	return true
@@ -75,33 +74,92 @@ func (ev Event) Cancel() bool {
 // Pending reports whether the event is still queued.
 func (ev Event) Pending() bool { return ev.live() }
 
-// eventQueue is a min-heap ordered by (at, seq).
+// eventQueue is a binary min-heap ordered by (at, seq). Every event
+// records its slot in index so Cancel can remove it eagerly. seq is
+// unique per kernel, so (at, seq) is a total order: the pop sequence is
+// a function of the queued set alone, whatever the heap's internal shape.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
+
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
+
+func (q eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts slot i0 toward the leaves of q[:n] and reports whether it
+// moved.
+func (q eventQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (q *eventQueue) push(e *event) {
 	e.index = len(*q)
 	*q = append(*q, e)
+	q.up(e.index)
 }
-func (q *eventQueue) Pop() any {
+
+// pop removes and returns the earliest event; q must be non-empty.
+func (q *eventQueue) pop() *event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	old.swap(0, n)
+	old.down(0, n)
+	return q.truncate(n)
+}
+
+// remove deletes the event at slot i.
+func (q *eventQueue) remove(i int) {
+	old := *q
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	q.truncate(n)
+}
+
+// truncate drops and returns the last slot, which is at index n.
+func (q *eventQueue) truncate(n int) *event {
+	old := *q
+	e := old[n]
+	old[n] = nil
 	e.index = -1
-	*q = old[:n-1]
+	*q = old[:n]
 	return e
 }
 
@@ -211,7 +269,7 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	e.fn = fn
 	k.seq++
 	k.stats.Scheduled++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	if d := len(k.queue); d > k.stats.MaxHeapDepth {
 		k.stats.MaxHeapDepth = d
 	}
@@ -274,10 +332,10 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	if k.queue.Len() == 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.queue).(*event)
+	e := k.queue.pop()
 	k.now = e.at
 	k.stats.Fired++
 	fn := e.fn
@@ -300,7 +358,7 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(t Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.queue.Len() == 0 || k.queue[0].at > t {
+		if len(k.queue) == 0 || k.queue[0].at > t {
 			break
 		}
 		k.Step()
@@ -322,7 +380,7 @@ func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 func (k *Kernel) RunBefore(t Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.queue.Len() == 0 || k.queue[0].at >= t {
+		if len(k.queue) == 0 || k.queue[0].at >= t {
 			break
 		}
 		k.Step()
@@ -336,7 +394,7 @@ func (k *Kernel) RunBefore(t Time) {
 // whether one exists. The shard scheduler uses it to size adaptive
 // synchronization windows without popping anything.
 func (k *Kernel) NextEventAt() (Time, bool) {
-	if k.queue.Len() == 0 {
+	if len(k.queue) == 0 {
 		return 0, false
 	}
 	return k.queue[0].at, true
@@ -344,4 +402,4 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 
 // Pending returns the number of queued events. Canceled events are
 // removed eagerly, so this counts only events that will still fire.
-func (k *Kernel) Pending() int { return k.queue.Len() }
+func (k *Kernel) Pending() int { return len(k.queue) }

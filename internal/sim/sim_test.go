@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -354,6 +355,72 @@ func TestAtReturnsFireTime(t *testing.T) {
 	k.Run()
 	if e.At() != 6*time.Second {
 		t.Fatalf("At() after fire = %v, want 6s", e.At())
+	}
+}
+
+// TestKernelSteadyStateAllocFree pins the scheduling hot path: once the
+// free pool and the heap's backing array are warm, Schedule, Cancel and
+// Step allocate nothing.
+func TestKernelSteadyStateAllocFree(t *testing.T) {
+	k := New(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	k.Run()
+	round := func() {
+		late := k.Schedule(2*time.Millisecond, fn)
+		k.Schedule(time.Millisecond, fn)
+		k.Schedule(3*time.Millisecond, fn)
+		late.Cancel()
+		k.Step()
+		k.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("Schedule+Cancel+Step allocates %v times per round, want 0", allocs)
+	}
+}
+
+// TestHeapOrderUnderCancel checks the typed heap against a sorted
+// reference: with arbitrary interleavings of schedules and eager
+// cancels, the survivors fire in (at, seq) order.
+func TestHeapOrderUnderCancel(t *testing.T) {
+	f := func(ats []uint8, cancelMask []bool) bool {
+		k := New(1)
+		type ref struct{ at, seq int }
+		var want []ref
+		var got []int
+		evs := make([]Event, len(ats))
+		for i, a := range ats {
+			i := i
+			evs[i] = k.At(time.Duration(a)*time.Millisecond, func() { got = append(got, i) })
+		}
+		for i := range ats {
+			if i < len(cancelMask) && cancelMask[i] {
+				evs[i].Cancel()
+				continue
+			}
+			want = append(want, ref{int(ats[i]), i})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		k.Run()
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i].seq {
+				return false
+			}
+		}
+		return k.Stats().MaxHeapDepth == len(ats)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
